@@ -3,10 +3,10 @@
 Artifact reconstructed: the serial corpus fold after PR 5 replaced the
 per-line ``mmap → slice → .decode("utf-8") → str scan`` path with the
 bytes-native pipeline — ``accumulate_ranges`` runs the batched
-line-shape skeleton cache plus the ``encode_bytes`` structural scan
-straight over the mapped file's byte ranges, so repeated line shapes
-resolve with one dict probe per line and *no* line is decoded to
-``str`` on the happy path — and the parallel shared-memory feed whose
+line-shape skeleton cache straight over the mapped file's byte ranges,
+so repeated line shapes resolve with one dict probe per line and only
+cache misses decode the line and run the ``encode_text`` structural
+scan — and the parallel shared-memory feed whose
 workers now fold the shared buffer's bytes directly (zero decoded
 intermediaries between the one corpus memcpy and the interned
 partials).

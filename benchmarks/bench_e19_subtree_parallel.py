@@ -4,8 +4,8 @@ Artifact reconstructed: the corpus shape line parallelism cannot touch —
 one (or a few) huge single-line documents — after PR 6 added the
 bytes-native structural splitter.  A single linear pass over the mapped
 buffer carves the top-level container into top-level-subtree byte
-ranges without decoding; workers type the chunk ranges with the
-``encode_bytes`` machine; the partials reassemble through the same
+ranges without decoding; workers decode each chunk range and type it
+with the ``encode_text`` machine; the partials reassemble through the same
 interning monoid, so the result is *object-identical* to the serial
 fold.  The adaptive scheduler gained a third mode ("subtree", next to
 "serial" and "parallel") fed by bytes-rate calibration constants.

@@ -1,4 +1,4 @@
-"""E21 — the translation pipeline on interned types, end to end.
+"""E21 — the single-pass translation pipeline, end to end.
 
 Artifact reconstructed: tutorial §5 measures schema-aware translation
 (Avro rows + Dremel columns) against the schema-oblivious baseline; PR 8
@@ -10,9 +10,10 @@ through the shredder and the fused row encoder, and a single-pass
 Three sections, all recorded in ``BENCH_translate.json``:
 
 - **pipeline**: the seed path (parse the corpus to DOMs, infer by
-  per-document ``type_of`` + merge, batch shred/encode) vs. the interned
-  single-pass flow (``translate_report_path``: bytes-fold inference,
-  Fad.js-style speculative decode, fused shred/encode) on the same file
+  per-document ``type_of`` + merge, batch shred/encode) vs. the
+  single-pass stream flow (``translate_report_path``: bytes-fold inference,
+  the DOM-free stream walk feeding the shredder and row encoder) on the
+  same file
   — measured on a constant-structure "flat" corpus (the speculable
   telemetry shape, asserted ≥2x) and a "nested" corpus with arrays and
   numeric drift (never speculable, the generic-parse worst case);
@@ -20,9 +21,9 @@ Three sections, all recorded in ``BENCH_translate.json``:
   resolve rule vs. the reworked resolver (nullable records and nullable
   numeric unions now stay typed) — the quality delta of PR 8's bugfixes;
 - **corpora**: typed-column fraction and output sizes across the three
-  benchmark corpora through the interned pipeline.
+  benchmark corpora through the DOM reference (``schema_aware_translate``).
 
-Identity gates always run: the interned flow must produce byte-identical
+Identity gates always run: the single-pass flow must produce byte-identical
 Avro rows and an identical canonical column-store rendering to the DOM
 reference.  The ≥2x pipeline speedup is asserted only under
 ``REPRO_BENCH_ASSERT=1``; ``REPRO_BENCH_FULL=1`` grows the corpus.
@@ -42,7 +43,6 @@ from repro.translation import (
     column_store_json,
     resolve_type,
     schema_aware_translate,
-    translate_interned,
     translate_report_path,
 )
 from repro.types import Equivalence, merge_all, type_of
@@ -151,9 +151,9 @@ def _bench_pipeline(rows, records, tmp_dir, shape, lines, floor):
             handle.write("\n")
 
     seed_seconds, seed_report = _timed(lambda: _seed_translate(path))
-    interned_seconds, run = _timed(lambda: translate_report_path(path))
+    stream_seconds, run = _timed(lambda: translate_report_path(path))
 
-    # Identity gates: the interned flow reproduces the reference bytes.
+    # Identity gates: the single-pass flow reproduces the reference bytes.
     assert run.translation.avro_rows == seed_report.avro_rows
     assert column_store_json(run.translation.columnar) == column_store_json(
         seed_report.columnar
@@ -165,8 +165,8 @@ def _bench_pipeline(rows, records, tmp_dir, shape, lines, floor):
         "documents": len(lines),
         "input_megabytes": round(os.path.getsize(path) / 1e6, 1),
         "docs_per_sec_seed_dom": round(len(lines) / seed_seconds),
-        "docs_per_sec_interned": round(len(lines) / interned_seconds),
-        "speedup": round(seed_seconds / interned_seconds, 2),
+        "docs_per_sec_stream": round(len(lines) / stream_seconds),
+        "speedup": round(seed_seconds / stream_seconds, 2),
         "avro_bytes": run.translation.avro_bytes,
         "columnar_bytes": run.translation.columnar_bytes,
     }
@@ -177,14 +177,14 @@ def _bench_pipeline(rows, records, tmp_dir, shape, lines, floor):
             len(lines),
             f"{record['input_megabytes']}MB",
             record["docs_per_sec_seed_dom"],
-            record["docs_per_sec_interned"],
+            record["docs_per_sec_stream"],
             f"{record['speedup']:5.2f}x",
         ]
     )
     os.unlink(path)
     if ASSERT_TIMING:
         # Constant-structure streams must clear 2x (memoized schemas +
-        # speculative decode + fused encoders); the unspeculable nested
+        # the stream walk + fused encoders); the variable nested
         # corpus still has to win, just by less.
         assert record["speedup"] >= floor, shape
 
@@ -194,7 +194,7 @@ def _bench_fallbacks(rows, records):
     inferred = merge_all((type_of(d) for d in docs), Equivalence.KIND)
     seed_paths = _seed_fallback_paths(inferred)
     _, new_paths = resolve_type(inferred)
-    report = translate_interned(docs, inferred)
+    report = schema_aware_translate(docs, inferred)
     record = {
         "corpus": "twitter",
         "documents": len(docs),
@@ -227,7 +227,7 @@ def _bench_corpora(rows, records):
         ("nyt", nyt_articles),
     ):
         docs = make(count)
-        report = translate_interned(docs)
+        report = schema_aware_translate(docs)
         record = {
             "corpus": name,
             "documents": report.document_count,
@@ -294,7 +294,7 @@ def test_e21_translate(tmp_path):
     emit(
         "E21-translate",
         table(
-            ["corpus", "docs", "input", "seed DOM docs/s", "interned docs/s", "speedup"],
+            ["corpus", "docs", "input", "seed DOM docs/s", "stream docs/s", "speedup"],
             pipeline_rows,
         )
         + "\n\n"

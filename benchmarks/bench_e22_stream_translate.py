@@ -1,4 +1,4 @@
-"""E22 — DOM-free translation: the stream engine vs the DOM paths.
+"""E22 — DOM-free translation: the stream engine vs the seed DOM path.
 
 Artifact reconstructed: tutorial §5's schema-aware translation, now
 driven straight from each document's byte span.  PR 9 compiles the
@@ -10,14 +10,14 @@ Python values on clean subtrees.
 
 One section, recorded in ``BENCH_stream_translate.json``: the seed path
 (parse to DOMs, per-document ``type_of`` + merge, batch DOM
-translation), the PR 8 interned single-pass flow, and the stream engine
-on the two E21 corpus shapes — the speculable "flat" telemetry shape
-and the "nested" shape (arrays, numeric drift, nullable record) that
-defeats the speculative decoder.  E21 recorded the nested shape at only
-~1.2x over seed: the DOM decode dominated.  The stream engine removes
-the DOM entirely, so nested is asserted ≥2x over seed end-to-end.
+translation) and the stream engine on the two E21 corpus shapes — the
+constant-structure "flat" telemetry shape and the "nested" shape
+(arrays, numeric drift, nullable record).  The DOM-based interned flow
+this engine superseded recorded the nested shape at only ~1.2x over
+seed: the DOM decode dominated.  The stream engine removes the DOM
+entirely, so nested is asserted ≥2x over seed end-to-end.
 
-Identity gates always run: both engines must produce byte-identical
+Identity gates always run: the stream engine must produce byte-identical
 Avro rows and identical canonical column-store renderings to the seed
 reference.  Timing floors are asserted only under
 ``REPRO_BENCH_ASSERT=1``; ``REPRO_BENCH_FULL=1`` grows the corpus.
@@ -45,6 +45,12 @@ FULL = bool(os.environ.get("REPRO_BENCH_FULL"))
 ASSERT_TIMING = bool(os.environ.get("REPRO_BENCH_ASSERT"))
 
 DOCS = 500_000 if FULL else 50_000
+
+# Speedups over the seed DOM that the superseded interned engine
+# recorded on these shapes (2-CPU container, 50k documents).  The
+# stream engine must stay within 15% of them: 0.85 x 5.63 = 4.8x on
+# flat, 0.85 x 1.20 = 1.0x on nested (where the 2.0x floor binds).
+_INTERNED_SPEEDUP = {"flat": 5.63, "nested": 1.20}
 
 
 def _flat_corpus_lines(n: int) -> list[str]:
@@ -116,30 +122,21 @@ def _bench_shape(rows, records, tmp_dir, shape, lines, floor):
             handle.write("\n")
 
     seed_seconds, seed_report = _timed(lambda: _seed_translate(path))
-    interned_seconds, interned_run = _timed(
-        lambda: translate_report_path(path, engine="interned")
-    )
-    stream_seconds, stream_run = _timed(
-        lambda: translate_report_path(path, engine="stream")
-    )
+    stream_seconds, stream_run = _timed(lambda: translate_report_path(path))
 
-    # Identity gates: both engines reproduce the seed reference bytes.
-    reference_columns = column_store_json(seed_report.columnar)
-    for run in (interned_run, stream_run):
-        assert run.translation.avro_rows == seed_report.avro_rows
-        assert (
-            column_store_json(run.translation.columnar) == reference_columns
-        )
-        assert run.translation.document_count == len(lines)
+    # Identity gates: the stream engine reproduces the seed reference.
+    assert stream_run.translation.avro_rows == seed_report.avro_rows
+    assert column_store_json(
+        stream_run.translation.columnar
+    ) == column_store_json(seed_report.columnar)
+    assert stream_run.translation.document_count == len(lines)
 
     record = {
         "corpus_shape": shape,
         "documents": len(lines),
         "input_megabytes": round(os.path.getsize(path) / 1e6, 1),
         "docs_per_sec_seed_dom": round(len(lines) / seed_seconds),
-        "docs_per_sec_interned": round(len(lines) / interned_seconds),
         "docs_per_sec_stream": round(len(lines) / stream_seconds),
-        "speedup_interned": round(seed_seconds / interned_seconds, 2),
         "speedup_stream": round(seed_seconds / stream_seconds, 2),
         "avro_bytes": stream_run.translation.avro_bytes,
         "columnar_bytes": stream_run.translation.columnar_bytes,
@@ -151,7 +148,6 @@ def _bench_shape(rows, records, tmp_dir, shape, lines, floor):
             len(lines),
             f"{record['input_megabytes']}MB",
             record["docs_per_sec_seed_dom"],
-            record["docs_per_sec_interned"],
             record["docs_per_sec_stream"],
             f"{record['speedup_stream']:5.2f}x",
         ]
@@ -161,11 +157,11 @@ def _bench_shape(rows, records, tmp_dir, shape, lines, floor):
         # The DOM-free machine must clear 2x over the seed on *both*
         # shapes — the nested corpus is the one E21 left at ~1.2x.
         assert record["speedup_stream"] >= floor, shape
-        # And it must stay competitive with the engine it supersedes
-        # even on the speculable flat shape, where the template decoder
-        # is already near-optimal (a 15% band absorbs run noise).
+        # And it must stay competitive with the engine it superseded,
+        # restated against the seed DOM through that engine's recorded
+        # speedups (a 15% band absorbs run noise).
         assert (
-            record["speedup_stream"] >= record["speedup_interned"] * 0.85
+            record["speedup_stream"] >= _INTERNED_SPEEDUP[shape] * 0.85
         ), shape
 
 
@@ -196,7 +192,6 @@ def test_e22_stream_translate(tmp_path):
                 "docs",
                 "input",
                 "seed DOM docs/s",
-                "interned docs/s",
                 "stream docs/s",
                 "stream speedup",
             ],

@@ -148,24 +148,17 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     from repro.types import Equivalence
 
     equivalence = Equivalence(args.equivalence)
-    if args.out is not None and args.engine not in ("stream", "interned"):
-        print(
-            "error: --out requires --engine stream or interned",
-            file=sys.stderr,
-        )
+    if args.out is not None and args.engine != "stream":
+        print("error: --out requires --engine stream", file=sys.stderr)
         return 2
-    if args.engine in ("stream", "interned"):
-        from repro.translation import translate_report_path, write_artifacts
+    if args.engine == "stream":
+        from repro.translation import translate_report_path
 
         run = translate_report_path(
-            args.data,
-            equivalence,
-            jobs=args.jobs,
-            engine=args.engine,
-            out=args.out,
+            args.data, equivalence, jobs=args.jobs, out=args.out
         )
         aware = run.translation
-        # The interned pipeline measured the corpus as it streamed —
+        # The stream pipeline measured the corpus as it streamed —
         # raw NDJSON bytes are exactly what the no-schema baseline
         # stores, so no second schema-oblivious pass is needed.
         source_bytes = aware.input_bytes
@@ -187,9 +180,9 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     print(f"typed columns:    {aware.typed_fraction:6.1%}")
     print(f"union fallbacks:  {aware.fallback_count}")
     if args.out is not None:
-        # The stream/interned path spilled the artifacts while
-        # translating (run.artifacts); nothing is re-encoded here.
-        written = run.artifacts or write_artifacts(run, args.out)
+        # The stream path spilled the artifacts while translating
+        # (run.artifacts); nothing is re-encoded here.
+        written = run.artifacts
         for path in sorted(written):
             print(f"wrote {path} ({written[path]} bytes)")
     return 0
@@ -295,24 +288,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="fusion parameter for the inferred schema (default: kind)",
     )
     p_translate.add_argument(
-        "--engine", choices=["stream", "interned", "dom"], default="stream",
+        "--engine", choices=["stream", "dom"], default="stream",
         help="translation pipeline: 'stream' (default) drives the "
         "shredder and row encoder straight from each document's byte "
-        "span — no DOM on clean subtrees; 'interned' is the PR 8 DOM "
-        "loop through the memoized infer→translate flow; 'dom' runs the "
-        "materialised reference path (byte-identical artifacts, kept "
-        "for cross-checking)",
+        "span — no DOM on clean subtrees; 'dom' runs the materialised "
+        "reference path (byte-identical artifacts, kept for "
+        "cross-checking)",
     )
     p_translate.add_argument(
         "--jobs", type=_jobs_arg, default=1, metavar="N|auto",
-        help="worker processes for the inference pass (stream/interned "
-        "engines only; see 'infer --help' for the scheduler)",
+        help="worker processes for the inference pass (stream engine "
+        "only; see 'infer --help' for the scheduler)",
     )
     p_translate.add_argument(
         "--out", default=None, metavar="DIR",
         help="also write the artifacts (rows.avro, columns.json, "
-        "schema.txt) under DIR; the stream/interned engines spill "
-        "rows.avro incrementally while translating",
+        "schema.txt) under DIR; the stream engine spills rows.avro "
+        "incrementally while translating, and a failed run leaves DIR "
+        "untouched",
     )
     p_translate.set_defaults(func=_cmd_translate)
 

@@ -109,7 +109,6 @@ from repro.inference.streaming import (
     infer_report_streaming,
     infer_type_streaming,
     type_from_events,
-    type_of_bytes,
     type_of_text,
 )
 from repro.inference.engine import (
@@ -199,7 +198,6 @@ __all__ = [
     "infer_report_streaming",
     "infer_type_streaming",
     "type_from_events",
-    "type_of_bytes",
     "type_of_text",
     "CountingAccumulator",
     "TypeAccumulator",

@@ -19,6 +19,7 @@ merge of the underlying types (a property test pins this commuting square).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Optional, Tuple
 
@@ -26,14 +27,17 @@ from repro.errors import InferenceError
 from repro.jsonvalue.events import JsonEventType, iter_events
 from repro.jsonvalue.model import JsonKind, is_integer_value, kind_of
 from repro.types import Equivalence, Type, union
+from repro.jsonvalue.lexer import (
+    FULL_STRING_BODY_PATTERN_BYTES,
+    INT_PATTERN_BYTES,
+    NUMBER_BOUNDARY_BYTES,
+    NUMBER_TAIL_PATTERN_BYTES,
+    WHITESPACE_PATTERN_BYTES,
+)
+from repro.inference.engine import _BYTES_WS_RUN
 from repro.types.build import (
-    _BYTES_AFTER_SCAN,
     _BYTES_HIGH_BYTE,
-    _BYTES_KEY_SCAN,
-    _BYTES_NUMBER_BOUNDARY,
     _BYTES_UTF8_RUN,
-    _BYTES_VALUE_SCAN,
-    _BYTES_WS_RUN,
     _PHASE_AFTER,
     _PHASE_KEY,
     _PHASE_KEY_OR_CLOSE,
@@ -355,6 +359,34 @@ def _delegate_counted(
     )
 
 
+# The counting scan's per-token patterns, over raw UTF-8 bytes.  Group
+# layout of the value scan: 1 string, 2 number (containing 3, the
+# possibly-empty fraction/exponent tail — non-empty makes it a float),
+# 4 true/false, 5 null, 6 empty array, 7 empty object, 8 "{", 9 "[",
+# 10 "]" (legal only just after "[").  String bodies carry escapes, so
+# escaped strings and keys stay on the bytes path; UTF-8 validity is
+# checked once per document.
+_BYTES_WS = WHITESPACE_PATTERN_BYTES
+_BYTES_VALUE_SCAN = re.compile(
+    _BYTES_WS + b"(?:"
+    + b'(")' + FULL_STRING_BODY_PATTERN_BYTES + b'"'
+    + b"|(" + INT_PATTERN_BYTES + b"(" + NUMBER_TAIL_PATTERN_BYTES + b"))"
+    + b"|(true|false)|(null)"
+    + rb"|(\[" + _BYTES_WS + rb"\])"
+    + rb"|(\{" + _BYTES_WS + rb"\})"
+    + rb"|(\{)|(\[)|(\])"
+    b")"
+)
+# Key scan: the key string and its colon in one match (group 1 is the
+# key body), or the closing brace (group 2, legal only just after "{").
+_BYTES_KEY_SCAN = re.compile(
+    _BYTES_WS
+    + b'(?:"(' + FULL_STRING_BODY_PATTERN_BYTES + b')"' + _BYTES_WS + rb":|(\}))"
+)
+_BYTES_AFTER_SCAN = re.compile(_BYTES_WS + rb"([,\]}])")
+_BYTES_NUMBER_BOUNDARY = frozenset(NUMBER_BOUNDARY_BYTES)
+
+
 def counted_type_of_bytes(
     data,
     start: int = 0,
@@ -367,9 +399,8 @@ def counted_type_of_bytes(
 
     The counting algebra's entry point for the bytes pipeline (mmap
     ranges, shared-memory views).  A per-token regex scan over the raw
-    bytes — the same master patterns as the plain bytes machine
-    (:meth:`repro.types.build.EventTypeEncoder.encode_bytes`), so the
-    happy path never decodes string content; object keys decode one
+    bytes with the master patterns above, so the happy path never
+    decodes string content; object keys decode one
     slice each, and UTF-8 validity is checked lazily once per document.
     Structurally equal to decode + :func:`counted_type_of_text`
     (pinned by the bytes-scan fuzz differential), with the exact error
@@ -396,8 +427,8 @@ def counted_type_of_bytes(
                 ws_end = ws_run(data, pos, length).end()
                 if ws_end >= length and not stack:
                     assert result is not None
-                    # Lazy UTF-8 validity, once per document (see
-                    # encode_bytes): pure ASCII returns straight away.
+                    # Lazy UTF-8 validity, once per document: pure
+                    # ASCII returns straight away.
                     if _BYTES_HIGH_BYTE.search(data, start, length) is None:
                         return result
                     run = _BYTES_UTF8_RUN.match(data, start, length)

@@ -494,7 +494,7 @@ def _type_boundary_line(accumulator: TypeAccumulator, encoder, line: bytes) -> i
     if line[ws_end] >= 0x80 or line[ws_end] in _EXTRA_SPACE_BYTES:
         if line.decode("utf-8").isspace():
             return 0
-    accumulator.add_type(encoder.encode_bytes(line))
+    accumulator.add_type(encoder.encode_text(line.decode("utf-8")))
     return 1
 
 
@@ -613,8 +613,8 @@ def _infer_subtree_chunks(payload) -> Optional[list]:
 
     The parent ships only ``(path, kind, [(start, end), ...], max_depth)``;
     the worker reads one covering slice, wraps each chunk in its
-    container's brackets, and runs the full bytes machine — keys,
-    escapes, UTF-8 runs and depth all get the serial scan's exact
+    container's brackets, and runs the full text machine — keys,
+    escapes, UTF-8 and depth all get the serial scan's exact
     validation.  Returns the per-chunk contribution lists, or ``None``
     when any chunk fails: failure means the parent's speculative
     boundaries were wrong (or the document is malformed), and the parent
@@ -657,8 +657,8 @@ def _subtree_span_type(
     """Type one document span through the subtree-parallel pipeline.
 
     Returns the canonical type, or ``None`` when the span is not worth
-    (or not amenable to) splitting — the caller then runs the serial
-    ``encode_bytes``, which also owns all error reporting.  The worker
+    (or not amenable to) splitting — the caller then types the whole
+    span serially, which also owns all error reporting.  The worker
     pool is created lazily in ``pool_state`` on the first parallel
     dispatch and reused across spans.
     """
@@ -744,7 +744,7 @@ def infer_subtree_text(
 
     Lines of at least ``min_split_bytes`` are carved into top-level
     subtree chunks by the bytes-native structural splitter
-    (:mod:`repro.parsing.structural`) and typed by ``encode_bytes``
+    (:mod:`repro.parsing.structural`) and typed by ``encode_text``
     machines in parallel workers reading their own byte ranges from the
     backing file; the partial contributions merge back through the
     reassembly algebra and the :class:`~repro.inference.engine.TypeAccumulator`
@@ -753,7 +753,7 @@ def infer_subtree_text(
     them.  The result is interned-identical to the serial scan of every
     line, with identical errors: any span the splitter cannot carve (or
     whose speculative chunking fails validation) is re-scanned serially
-    by the authoritative bytes machine.
+    by the authoritative text machine.
     """
     from repro.inference.engine import (
         _EXTRA_SPACE_BYTES,
@@ -818,7 +818,9 @@ def infer_subtree_text(
                 )
                 if t is None:
                     # Serial authority: exact type, exact errors.
-                    t = encoder.encode_bytes(buffer, start, end)
+                    t = encoder.encode_text(
+                        bytes(buffer[start:end]).decode("utf-8")
+                    )
                 else:
                     split_documents += 1
                 add_type(t)
@@ -1168,9 +1170,10 @@ def plan_schedule(
     dominates the fold and does not depend on the equivalence — so one
     plan serves both equivalences.  An
     :class:`~repro.datasets.ndjson.MmapCorpus` is sampled through the
-    bytes-native scan (no decode); in-memory lines through the str
-    scan.  The serial fold rate is *measured*, not assumed, so the
-    decision tracks the actual machine and document shape.  When the
+    batched bytes fold (line-shape cache first); in-memory lines
+    through the str scan.  The serial fold rate is *measured*, not
+    assumed, so the decision tracks the actual machine and document
+    shape.  When the
     modeled parallel win is under ``_PARALLEL_ADVANTAGE`` the plan is
     serial: spawning workers that lose to the serial fold (the E16
     regression: 0.94x at ``--jobs 2`` on one usable CPU) is the one

@@ -126,20 +126,6 @@ class TypeAccumulator:
             encoder = self._event_encoder = EventTypeEncoder(self._table)
         self.add_type(encoder.encode_text(text))
 
-    def add_bytes(self, data, start: int = 0, end: Optional[int] = None) -> None:
-        """Type one raw UTF-8 document held as bytes and absorb it.
-
-        The bytes-native analogue of :meth:`add_text`: ``data`` may be
-        ``bytes``, an mmap, or a shared-memory view, and the byte range
-        is scanned straight to a canonical interned type — no
-        ``.decode`` on the happy path, identical types *and* identical
-        errors to ``add_text(bytes(data[start:end]).decode("utf-8"))``.
-        """
-        encoder = self._event_encoder
-        if encoder is None:
-            encoder = self._event_encoder = EventTypeEncoder(self._table)
-        self.add_type(encoder.encode_bytes(data, start, end))
-
     def add_type(self, t: Type) -> None:
         """Absorb one already-typed document (or any type term)."""
         self._count += 1
@@ -427,10 +413,10 @@ def accumulate_ranges(
     ``corpus.spans`` or :func:`repro.datasets.ndjson.iter_line_spans`
     output.  No line is ever decoded to ``str`` on the happy path: the
     ranges run through :meth:`EventTypeEncoder.encode_lines` — the
-    batched skeleton cache plus the bytes-native structural scan — in
-    growing chunks, and blank lines (including the rare non-ASCII
-    whitespace-only line, for exact :func:`accumulate_lines` parity)
-    are skipped.  The result is interned-identical to
+    batched skeleton cache, whose misses decode and run the structural
+    scan — in growing chunks, and blank lines (including the rare
+    non-ASCII whitespace-only line, for exact :func:`accumulate_lines`
+    parity) are skipped.  The result is interned-identical to
     ``accumulate_lines`` over the decoded lines, with identical errors.
     """
     acc = TypeAccumulator(equivalence, table=table)
@@ -447,13 +433,13 @@ def accumulate_ranges(
 # One huge document serializes the whole line-parallel pipeline.  The
 # functions below turn its *top-level container* into independently
 # typable byte ranges and fold the partial results back to the exact
-# interned node the serial ``encode_bytes`` would produce:
+# interned node the serial scan of the whole document would produce:
 #
 # - :func:`plan_subtree_split` descends to a splittable container
 #   (recording a *spine* of wrapper frames for each level it enters) and
 #   carves its children into contiguous chunk spans;
 # - each chunk, re-wrapped in its container's brackets, is a complete
-#   JSON document the unmodified bytes machine types and validates
+#   JSON document the unmodified text machine types and validates
 #   (:func:`type_subtree_chunks`) — in this process or in a worker;
 # - :func:`combine_subtree` merges the per-chunk contributions (array
 #   element unions / record member maps) and re-applies the spine.
@@ -635,20 +621,20 @@ def type_subtree_chunks(
     *,
     max_depth: int = 512,
 ) -> list:
-    """Type each chunk span through the full bytes machine.
+    """Type each chunk span through the full text machine.
 
-    Every chunk is wrapped in its container's brackets and scanned as a
-    complete document, so keys, escapes, UTF-8 runs, and nesting depth
-    get the machine's exact validation; the wrapper contributes exactly
-    the one level the real container contributes.  Raises whatever the
-    machine raises on an invalid chunk — callers treat any failure as
-    "this speculation was wrong, go serial".
+    Every chunk is wrapped in its container's brackets, decoded and
+    scanned as a complete document, so keys, escapes, UTF-8, and
+    nesting depth get the machine's exact validation; the wrapper
+    contributes exactly the one level the real container contributes.
+    Raises whatever the machine raises on an invalid chunk — callers
+    treat any failure as "this speculation was wrong, go serial".
     """
     wrap_open, wrap_close = (b"[", b"]") if kind == "array" else (b"{", b"}")
-    encode = encoder.encode_bytes
+    encode = encoder.encode_text
     out = []
     for s, e in chunks:
-        doc = wrap_open + bytes(data[s:e]) + wrap_close
+        doc = (wrap_open + bytes(data[s:e]) + wrap_close).decode("utf-8")
         t = encode(doc, max_depth=max_depth)
         if kind == "array":
             if not isinstance(t, ArrType):  # pragma: no cover - wrap invariant

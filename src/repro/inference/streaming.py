@@ -122,39 +122,13 @@ def type_of_text(
     return _shared_encoder(table, encoder).encode_text(text, max_depth=max_depth)
 
 
-def type_of_bytes(
-    data,
-    start: int = 0,
-    end: Optional[int] = None,
-    *,
-    table: Optional[InternTable] = None,
-    encoder: Optional[EventTypeEncoder] = None,
-    max_depth: int = 512,
-) -> Type:
-    """The canonical interned type of one JSON document held as UTF-8
-    bytes — the bytes-native twin of :func:`type_of_text`.
-
-    ``data`` may be ``bytes``, an mmap, or a shared-memory view; the
-    byte range is scanned without decoding (string content skipped
-    structurally, keys through a bytes→str cache).  Identical by object
-    identity to ``type_of_text(bytes(data[start:end]).decode("utf-8"))``,
-    with identical errors: undecodable input raises the exact
-    ``UnicodeDecodeError`` the decode would, and malformed JSON raises
-    the parser's exact error with character offsets relative to
-    ``start``.
-    """
-    return _shared_encoder(table, encoder).encode_bytes(
-        data, start, end, max_depth=max_depth
-    )
-
-
 def infer_report_corpus(
     corpus, equivalence: Equivalence = Equivalence.KIND
 ) -> InferenceReport:
     """Inference over an :class:`~repro.datasets.ndjson.MmapCorpus` via
     the bytes-native fold: the mapped file's line ranges go straight to
-    canonical interned types (batched skeleton cache + bytes scan) with
-    zero per-line ``str`` decode.  Interned-identical to every other
+    canonical interned types through the batched line-shape cache, and
+    only cache misses decode and scan.  Interned-identical to every other
     route."""
     from repro.inference.engine import accumulate_ranges
 
@@ -182,9 +156,9 @@ def fold_compressed(
     (:func:`repro.datasets.compressed.iter_line_blocks`) yields
     line-aligned decompressed blocks which feed one persistent
     :class:`~repro.inference.engine.RangeFolder` — the same batched
-    line-shape-cache + bytes-scan fold an uncompressed mmap corpus
-    runs, so the result is interned-identical to the plain-file fold of
-    the decompressed bytes.  No decompressed corpus is ever
+    line-shape-cache fold an uncompressed mmap corpus runs, so the
+    result is interned-identical to the plain-file fold of the
+    decompressed bytes.  No decompressed corpus is ever
     materialised: memory is one block plus the longest line.
 
     This path **owns error ordering**: JSON/decode errors of earlier
@@ -308,6 +282,21 @@ def infer_report_streaming(
     )
 
 
+def _is_corpus_file(source) -> bool:
+    """Whether ``source`` names an on-disk corpus file (not ``"-"``).
+
+    Only regular files can be mapped or decompressed in blocks; FIFOs,
+    ``/dev/stdin`` and other special files stream as lines instead.
+    """
+    import os
+
+    return (
+        isinstance(source, (str, os.PathLike))
+        and str(source) != "-"
+        and os.path.isfile(source)
+    )
+
+
 def infer_report_path(
     source,
     equivalence: Equivalence = Equivalence.KIND,
@@ -318,16 +307,13 @@ def infer_report_path(
     """One-stop inference over an NDJSON source — the CLI's entry point.
 
     ``source`` is a file path, ``"-"`` for stdin, or any line iterable.
-    A gzip/zstd-compressed file (detected by magic bytes) takes the
-    chunked decompression fold (:func:`infer_report_compressed`) —
-    member-parallel when ``jobs`` allows and the container has
-    independent members.  With ``jobs=1`` a regular file takes the
-    **bytes fold** by default:
-    the file is mapped as a zero-copy
-    :class:`~repro.datasets.ndjson.MmapCorpus` and its byte ranges run
-    straight to interned types (:func:`infer_report_corpus`) with no
-    per-line decode; non-file sources stream serially in O(nesting)
-    memory.  Otherwise the run routes through the adaptive scheduler
+    A corpus file is opened and folded by :func:`report_with_spans` —
+    the one place that routes a file: gzip/zstd through the chunked
+    decompression fold (member-parallel when ``jobs`` allows), a plain
+    file as a zero-copy :class:`~repro.datasets.ndjson.MmapCorpus`
+    through the bytes fold or the adaptive scheduler.  Other sources
+    stream serially in O(nesting) memory with ``jobs=1``; otherwise
+    their lines go to the adaptive scheduler
     (:func:`repro.inference.distributed.infer_adaptive_text`):
     ``jobs=None`` sizes the worker pool from CPU affinity, ``jobs=N``
     caps it at N, and either way the scheduler falls back to a serial
@@ -338,45 +324,36 @@ def infer_report_path(
     and worker count (see
     :func:`repro.inference.distributed.choose_shared_memory`).
     """
-    import os
+    if _is_corpus_file(source):
+        with report_with_spans(
+            source, equivalence, jobs=jobs, shared_memory=shared_memory
+        ) as (report, _):
+            return report
 
-    from repro.datasets.ndjson import iter_ndjson_lines, open_corpus
+    from repro.datasets.ndjson import iter_ndjson_lines
 
-    is_file = (
-        isinstance(source, (str, os.PathLike))
-        and str(source) != "-"
-        and os.path.isfile(source)
+    return _infer_lines(
+        iter_ndjson_lines(source), equivalence, jobs, shared_memory
     )
-    if is_file:
-        # Compressed corpora cannot be mmap-line-indexed; they route
-        # through the chunked decompression fold (and, with jobs, the
-        # member-parallel scheduler) before any mmap/streaming choice.
-        from repro.datasets.compressed import detect_compression
 
-        fmt = detect_compression(source)
-        if fmt is not None:
-            return infer_report_compressed(
-                source, equivalence, jobs=jobs, format=fmt
-            )
+
+def _infer_lines(lines, equivalence, jobs, shared_memory) -> InferenceReport:
+    """Inference over the lines of a non-file source: streamed serially
+    with ``jobs=1``, otherwise through the adaptive scheduler."""
     if jobs == 1:
-        if is_file:
-            # Only regular files can be mapped; FIFOs, /dev/stdin and
-            # other special files stat as size 0 and stream instead.
-            with open_corpus(source) as corpus:
-                return infer_report_corpus(corpus, equivalence)
-        return infer_report_streaming(iter_ndjson_lines(source), equivalence)
+        return infer_report_streaming(lines, equivalence)
+    return _adaptive_report(list(lines), equivalence, jobs, shared_memory)
 
+
+def _adaptive_report(
+    lines, equivalence, jobs, shared_memory
+) -> InferenceReport:
+    """Inference over a corpus or line list through the adaptive scheduler."""
     from repro.inference.distributed import infer_adaptive_text
 
-    corpus = open_corpus(source) if is_file else None
-    try:
-        lines = corpus if corpus is not None else list(iter_ndjson_lines(source))
-        run = infer_adaptive_text(
-            lines, equivalence, jobs=jobs, shared_memory=shared_memory
-        )
-    finally:
-        if corpus is not None:
-            corpus.close()
+    run = infer_adaptive_text(
+        lines, equivalence, jobs=jobs, shared_memory=shared_memory
+    )
     return InferenceReport(
         inferred=run.result,
         equivalence=equivalence,
@@ -384,68 +361,18 @@ def infer_report_path(
     )
 
 
-@contextmanager
-def report_with_lines(
-    source,
-    equivalence: Equivalence = Equivalence.KIND,
-    *,
-    jobs: Optional[int] = 1,
-    shared_memory="auto",
-):
-    """Infer over ``source``, then hand its lines back for a second pass.
-
-    A context manager yielding ``(report, lines)``: the
-    :class:`InferenceReport` of the corpus plus an iterable of its
-    decoded lines (blank lines included — consumers skip them, matching
-    every fold).  This is the two-pass backbone of the single-pass-
-    *looking* translate flow: the corpus is opened **once** — a regular
-    file stays mapped across both passes, a compressed file is
-    re-streamed through the chunked reader, a non-file line source is
-    materialised so the second pass can see it at all.  Routing mirrors
-    :func:`infer_report_path` case for case, so the report is
-    interned-identical to what that entry point returns.
-    """
-    import os
-
-    from repro.datasets.ndjson import iter_ndjson_lines, open_corpus
-
-    is_file = (
-        isinstance(source, (str, os.PathLike))
-        and str(source) != "-"
-        and os.path.isfile(source)
-    )
-    if is_file:
-        from repro.datasets.compressed import (
-            detect_compression,
-            iter_compressed_lines,
-        )
-
-        fmt = detect_compression(source)
-        if fmt is not None:
-            report = infer_report_compressed(
-                source, equivalence, jobs=jobs, format=fmt
-            )
-            yield report, iter_compressed_lines(source, format=fmt)
-            return
-        with open_corpus(source) as corpus:
-            if jobs == 1:
-                report = infer_report_corpus(corpus, equivalence)
-            else:
-                from repro.inference.distributed import infer_adaptive_text
-
-                run = infer_adaptive_text(
-                    corpus, equivalence, jobs=jobs, shared_memory=shared_memory
-                )
-                report = InferenceReport(
-                    inferred=run.result,
-                    equivalence=equivalence,
-                    document_count=run.document_count,
-                )
-            yield report, corpus
-        return
-    lines = list(iter_ndjson_lines(source))
-    report = infer_report_streaming(lines, equivalence)
-    yield report, lines
+def _line_section(lines) -> tuple:
+    """``lines`` as one UTF-8 buffer joined by ``\n``, with one span per
+    line — the byte view a line source lacks.  A line holding a raw line
+    break keeps it inside its one span."""
+    parts = [line.encode("utf-8") for line in lines]
+    spans = []
+    pos = 0
+    for part in parts:
+        end = pos + len(part)
+        spans.append((pos, end))
+        pos = end + 1
+    return b"\n".join(parts), spans
 
 
 @contextmanager
@@ -456,30 +383,37 @@ def report_with_spans(
     jobs: Optional[int] = 1,
     shared_memory="auto",
 ):
-    """Infer over a corpus *file*, then hand back its raw line spans.
+    """Infer over ``source``, then hand back its raw line spans.
 
-    The byte-range sibling of :func:`report_with_lines`, for consumers
-    that walk documents as byte slices instead of decoded ``str`` lines
-    (the DOM-free translate machine).  Yields ``(report, sections)``
-    where ``sections`` iterates ``(buffer, spans)`` pairs: one pair
-    covering the whole corpus for a plain file (the mmap buffer plus its
-    line index), one pair per decompressed line-aligned block for a
-    gzip/zstd corpus (re-streamed through the chunked reader, so peak
-    memory stays one block).  Blank spans ride along exactly as blank
-    lines do — consumers skip them with the folds' whitespace rule.
-    Routing mirrors :func:`infer_report_path` case for case.
+    A context manager yielding ``(report, sections)``: the
+    :class:`InferenceReport` of the corpus plus an iterable of
+    ``(buffer, spans)`` pairs for a second pass over the documents as
+    byte slices (the DOM-free translate machine).  The corpus is opened
+    **once**:
 
-    ``source`` must be an on-disk corpus file — other sources have no
-    byte spans; callers should fall back to :func:`report_with_lines`.
+    - a gzip/zstd file infers through :func:`infer_report_compressed`
+      and is re-streamed through the chunked reader, one pair per
+      decompressed line-aligned block (peak memory stays one block);
+    - a plain file is mapped as an
+      :class:`~repro.datasets.ndjson.MmapCorpus`, folded serially
+      (``jobs=1``) or through the adaptive scheduler, and stays mapped
+      for the one pair covering the whole corpus;
+    - stdin or a line iterable is read into a list, inferred serially
+      (``jobs=1``) or through the adaptive scheduler, and becomes one
+      UTF-8 buffer with one span per line.
+
+    Blank spans ride along exactly as blank lines do — consumers skip
+    them with the folds' whitespace rule.
     """
-    import os
+    if not _is_corpus_file(source):
+        from repro.datasets.ndjson import iter_ndjson_lines
 
-    if not (
-        isinstance(source, (str, os.PathLike))
-        and str(source) != "-"
-        and os.path.isfile(source)
-    ):
-        raise ValueError("report_with_spans needs an on-disk corpus file")
+        lines = list(iter_ndjson_lines(source))
+        report = _infer_lines(lines, equivalence, jobs, shared_memory)
+        section = _line_section(lines)
+        del lines
+        yield report, (section,)
+        return
 
     from repro.datasets.compressed import (
         detect_compression,
@@ -504,14 +438,5 @@ def report_with_spans(
         if jobs == 1:
             report = infer_report_corpus(corpus, equivalence)
         else:
-            from repro.inference.distributed import infer_adaptive_text
-
-            run = infer_adaptive_text(
-                corpus, equivalence, jobs=jobs, shared_memory=shared_memory
-            )
-            report = InferenceReport(
-                inferred=run.result,
-                equivalence=equivalence,
-                document_count=run.document_count,
-            )
+            report = _adaptive_report(corpus, equivalence, jobs, shared_memory)
         yield report, ((corpus.buffer(), corpus.spans),)

@@ -129,8 +129,10 @@ NUMBER_TAIL_PATTERN = r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 # --------------------------------------------------------------------------
 # Bytes mirrors of the shared fragments.
 #
-# The bytes-native structural scan (`EventTypeEncoder.encode_bytes`) runs
-# the same grammar directly over mmap / shared-memory buffers.  Every
+# The byte-level machines — the counting scan (`counted_type_of_bytes`),
+# the DOM-free translate walk (`repro.translation.stream`) and the
+# line-shape cache's skeleton passes (`EventTypeEncoder.encode_lines`) —
+# run the same grammar directly over mmap / decompressed buffers.  Every
 # fragment mirrors its str twin by plain ASCII encoding — including the
 # string body: in bytes mode the very same class ``[^"\\\x00-\x1f]``
 # matches any byte ``\x20``–``\xff`` except ``"`` and ``\``, which skips
@@ -146,7 +148,6 @@ NUMBER_TAIL_PATTERN = r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 # --------------------------------------------------------------------------
 
 INT_PATTERN_BYTES = INT_PATTERN.encode("ascii")
-FLOAT_PATTERN_BYTES = FLOAT_PATTERN.encode("ascii")
 WHITESPACE_PATTERN_BYTES = WHITESPACE_PATTERN.encode("ascii")
 NUMBER_BOUNDARY_BYTES = NUMBER_BOUNDARY_CHARS.encode("ascii")
 NUMBER_TAIL_PATTERN_BYTES = NUMBER_TAIL_PATTERN.encode("ascii")
@@ -155,8 +156,8 @@ STRING_BODY_PATTERN_BYTES = STRING_BODY_PATTERN.encode("ascii")
 # One valid escape sequence.  Any \uXXXX is lexically valid (the lexer
 # preserves lone surrogates), so four hex digits suffice.
 STRING_ESCAPE_PATTERN_BYTES = rb'\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})'
-# A whole string-literal body, escapes included — used by the bytes
-# scan's per-token tier, where a match is a complete literal whose
+# A whole string-literal body, escapes included — used by the byte
+# scans' per-token tier, where a match is a complete literal whose
 # decoded content would lex identically (escape validity included; only
 # UTF-8 validity remains for the lazy document-level check).
 FULL_STRING_BODY_PATTERN_BYTES = (

@@ -297,8 +297,8 @@ class StructuralIndex:
 # record serializes the whole fold.  The splitter carves the top-level
 # container of an undecoded byte buffer (mmap, shared memory, bytes)
 # into contiguous *subtree ranges* that workers can type independently
-# with ``encode_bytes``-class machines, to be reassembled through the
-# merge monoid.
+# with the structural scan (``encode_text``), to be reassembled through
+# the merge monoid.
 #
 # Two carving strategies share one contract:
 #
@@ -321,8 +321,8 @@ class StructuralIndex:
 # verified regions and any speculation failure (separator bytes found
 # inside a string, at the wrong depth, malformed input, …) surfaces as a
 # validation failure, never as a silently different type.  The driver
-# then falls back to the serial ``encode_bytes`` of the whole document,
-# which raises the parser-exact error (or, for under-approximated valid
+# then falls back to the serial scan of the whole document, which
+# raises the parser-exact error (or, for under-approximated valid
 # shapes, returns the correct type).
 # ---------------------------------------------------------------------------
 
@@ -402,7 +402,7 @@ def scan_depth1_spans(data, start: int = 0, end: Optional[int] = None):
     Returns a :class:`SubtreeScan`, or ``None`` when the range is not a
     splittable container document (top-level scalar, malformed shape,
     trailing garbage, …) — the caller then types the range serially, so
-    errors and under-approximations resolve exactly as ``encode_bytes``
+    errors and under-approximations resolve exactly as the serial scan
     would.
     """
     if end is None:

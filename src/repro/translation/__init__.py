@@ -7,9 +7,8 @@
   definition/repetition levels (Dremel), batch ``shred`` plus the
   streaming :class:`~repro.translation.parquet.Shredder`;
 - :mod:`repro.translation.translate` — schema-aware vs schema-oblivious
-  translation pipelines (experiment E9): the DOM reference path, the
-  interned-memoized streaming path, and the single-pass
-  infer→translate→write flow (experiment E21);
+  translation pipelines (experiment E9): the DOM reference path and the
+  single-pass infer→translate→write flow (experiment E21);
 - :mod:`repro.translation.stream` — the DOM-free translate machine
   (experiment E22): a fused column program compiled from the resolution
   + Parquet + Avro trees drives the shredder and row encoder straight
@@ -41,7 +40,6 @@ from repro.translation.translate import (
     schema_aware_translate,
     schema_oblivious_translate,
     textify,
-    translate_interned,
     translate_report_path,
     write_artifacts,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "schema_aware_translate",
     "schema_oblivious_translate",
     "textify",
-    "translate_interned",
     "translate_report_path",
     "write_artifacts",
 ]

@@ -1,14 +1,13 @@
 """DOM-free translation: the shredder and row encoder driven straight
 from the byte stream.
 
-The last materialisation in the corpus→artifact path was the translate
-pass itself: ``translate_report_path`` built one DOM per document (via
-the Fad.js-style speculative decoder), textified it, and walked it twice
-more — once for the Parquet shredder, once for the Avro row encoder.
-This module removes all three walks.  A :class:`Resolution` (resolved
-type + textify plan) is compiled *together with* the ``PNode`` and
-``AvroSchema`` trees into one fused **column program**: a tree of small
-op objects, one per schema position, each carrying
+A DOM translate pass builds one DOM per document, textifies it, and
+walks it twice more — once for the Parquet shredder, once for the Avro
+row encoder.  This module removes all three walks.  A
+:class:`Resolution` (resolved type + textify plan) is compiled
+*together with* the ``PNode`` and ``AvroSchema`` trees into one fused
+**column program**: a tree of small op objects, one per schema
+position, each carrying
 
 - the position's :class:`~repro.translation.parquet.Column` plus its
   *static* definition levels (max, null, and the precompiled
@@ -51,7 +50,7 @@ missing required fields, type mismatches, malformed syntax, bad UTF-8,
 schema nesting beyond the recursion budget — raises the internal
 ``_Decline``: the document's column entries are rolled back (each
 column's lengths were marked at document start) and the **whole
-document delegates to the existing DOM path** (speculative decode →
+document delegates to the DOM path** (``parse`` →
 textify → ``Shredder.add`` → ``RowEncoder.encode_row``), which owns the
 exact result and error behaviour.  Declines are per-document, so a
 poisoned line never degrades its neighbours.
@@ -70,6 +69,7 @@ from repro.jsonvalue.lexer import (
     WHITESPACE_PATTERN_BYTES,
     _Scanner,
 )
+from repro.jsonvalue.parser import parse
 from repro.translation import avro
 from repro.translation.parquet import (
     PLeaf,
@@ -380,7 +380,7 @@ _MISSING = object()
 class StreamTranslator:
     """Translate documents from raw byte ranges, no DOM on clean paths.
 
-    Feeds the same :class:`Shredder` and :class:`RowEncoder` state the
+    Feeds the same :class:`Shredder` and :class:`RowEncoder` state a
     DOM loop would; :meth:`translate_range` walks one line's byte span,
     appends its Parquet entries, bumps the shredder's row count, and
     returns the encoded Avro row.  Any decline rolls the columns back
@@ -388,8 +388,8 @@ class StreamTranslator:
     error-identical by construction (``delegated`` counts those).
     """
 
-    __slots__ = ("program", "shredder", "encoder", "plan", "_decoder",
-                 "_keys", "_columns", "delegated")
+    __slots__ = ("program", "shredder", "encoder", "plan", "_keys",
+                 "_columns", "delegated")
 
     def __init__(
         self, resolution: Resolution, shredder: Shredder, encoder
@@ -406,7 +406,6 @@ class StreamTranslator:
         self.shredder = shredder
         self.encoder = encoder
         self.plan = resolution.plan
-        self._decoder = None  # built on first delegation
         self._keys: dict = {}
         self._columns = list(shredder.columns.values())
         self.delegated = 0
@@ -437,13 +436,9 @@ class StreamTranslator:
 
     def _delegate(self, data, start: int, end: int) -> bytes:
         """The DOM path for one document — exact results, exact errors."""
-        if self._decoder is None:
-            from repro.parsing.fadjs import SpeculativeDecoder
-
-            self._decoder = SpeculativeDecoder()
         self.delegated += 1
         text = bytes(data[start:end]).decode("utf-8")
-        prepared = textify(self._decoder.decode(text), self.plan)
+        prepared = textify(parse(text), self.plan)
         self.shredder.add(prepared)
         return self.encoder.encode_row(prepared)
 

@@ -19,15 +19,17 @@ translation conformance tier:
 - :func:`schema_aware_translate` — the DOM reference: materialise the
   documents, seed-merge a type when none is given, textify, ``shred``,
   ``encode_rows``;
-- :func:`translate_interned` / :func:`translate_report_path` — the
-  interned pipeline: subtree resolution and Avro/Parquet schema
-  compilation memoized on interned node identity (shared subtrees
-  translate once, keyed to the intern-table epoch like the subtype
-  checker), documents streamed once through a :class:`~repro.translation.
-  parquet.Shredder` and a fused :class:`~repro.translation.avro.
-  RowEncoder`.  ``translate_report_path`` runs the whole
-  infer→translate→write flow single-pass from a file: mmap/compressed
-  corpus → bytes fold → resolved schema → Avro rows + columnar store.
+- :func:`translate_report_path` — the stream pipeline: subtree
+  resolution and Avro/Parquet schema compilation memoized on interned
+  node identity (shared subtrees translate once, keyed to the
+  intern-table epoch like the subtype checker), and each document's
+  raw byte span walked once by the DOM-free
+  :class:`~repro.translation.stream.StreamTranslator`, which feeds a
+  :class:`~repro.translation.parquet.Shredder` and a fused
+  :class:`~repro.translation.avro.RowEncoder`.  It runs the whole
+  infer→translate→write flow single-pass from any source: mmap,
+  compressed or in-memory corpus → bytes fold → resolved schema → Avro
+  rows + columnar store.
 
 Union resolution is carried by an explicit :class:`Resolution` — the
 resolved type, the degraded column paths, and a structural
@@ -414,8 +416,8 @@ def schema_aware_translate(
 
     The DOM reference path: documents are materialised, the schema is
     seed-merged when none is given, and the artifacts are produced by the
-    batch ``shred``/``encode_rows`` primitives.  The interned pipeline
-    (:func:`translate_interned`) must match its output byte for byte.
+    batch ``shred``/``encode_rows`` primitives.  The stream pipeline
+    (:func:`translate_report_path`) must match its output byte for byte.
     """
     docs = list(documents)
     if inferred is None:
@@ -428,69 +430,6 @@ def schema_aware_translate(
     input_bytes = sum(len(dumps(d).encode("utf-8")) for d in docs)
     return _build_report(
         store, rows, resolution.fallbacks, len(docs), input_bytes
-    )
-
-
-# ---------------------------------------------------------------------------
-# the interned pipeline
-# ---------------------------------------------------------------------------
-
-
-def translate_interned(
-    documents: Iterable[Any],
-    inferred: Optional[Type] = None,
-    *,
-    equivalence: Equivalence = Equivalence.KIND,
-    table: Optional[InternTable] = None,
-    input_bytes: Optional[int] = None,
-) -> TranslationReport:
-    """Translate on interned types: memoized resolution and schema
-    compilation, one streaming pass over the documents.
-
-    Byte-identical artifacts to :func:`schema_aware_translate` (the
-    conformance tier's gate), reached differently: resolution and the
-    compiled Avro/Parquet schemas are epoch-keyed memo hits after the
-    first collection with a shared shape, and each document flows
-    through the shredder and the fused row encoder without building a
-    prepared-documents list.  ``input_bytes`` (when the caller already
-    knows the source size, e.g. raw corpus bytes) skips the per-document
-    re-serialization the report otherwise needs.
-    """
-    if table is None:
-        table = global_table()
-    if inferred is None:
-        from repro.inference.engine import TypeAccumulator
-
-        documents = list(documents)
-        if documents:
-            accumulator = TypeAccumulator(equivalence, table=table)
-            for doc in documents:
-                accumulator.add(doc)
-            inferred = accumulator.result()
-        else:
-            inferred = merge_all((), equivalence)
-    resolution = resolve_interned(inferred, table=table)
-
-    shredder = Shredder(compiled_parquet(resolution.resolved, table=table))
-    encoder = avro.RowEncoder(compiled_avro(resolution.resolved, table=table))
-    plan = resolution.plan
-    rows: list = []
-    count = 0
-    measured = 0
-    measure = input_bytes is None
-    for doc in documents:
-        count += 1
-        if measure:
-            measured += len(dumps(doc).encode("utf-8"))
-        prepared = textify(doc, plan)
-        shredder.add(prepared)
-        rows.append(encoder.encode_row(prepared))
-    return _build_report(
-        shredder.finish(),
-        rows,
-        resolution.fallbacks,
-        count,
-        measured if measure else input_bytes,
     )
 
 
@@ -559,7 +498,6 @@ def translate_report_path(
     jobs: Optional[int] = 1,
     shared_memory="auto",
     table: Optional[InternTable] = None,
-    engine: str = "stream",
     out=None,
 ) -> TranslationRun:
     """The single-pass infer→translate→write flow from a corpus source.
@@ -568,49 +506,45 @@ def translate_report_path(
     bytes), ``"-"`` for stdin, or a line iterable.  The schema comes
     from the bytes fold, resolution and schema compilation are
     interned-memoized, and each document translates in one streaming
-    loop.  Two engines, byte-identical on the artifacts they share:
-
-    - ``"stream"`` (default): the DOM-free machine
-      (:class:`repro.translation.stream.StreamTranslator`) walks each
-      document's raw byte span and emits column entries and Avro row
-      bytes directly; non-conforming documents delegate per-document to
-      the DOM path.  Sources without byte spans (stdin, line iterables)
-      fall back to the DOM loop automatically, as does any resolved
-      schema the column program cannot express.  Fallback (JSON-text)
-      columns capture the **raw source slice verbatim**, where the DOM
-      engine re-serialises — identical on serializer-canonical corpora.
-    - ``"interned"``: the PR 8 DOM loop — speculative decode, textify,
-      shredder + fused row encoder.
+    loop: :func:`~repro.inference.streaming.report_with_spans` hands
+    back every document's raw byte span (stdin and line iterables
+    become one UTF-8 buffer first), and the DOM-free machine
+    (:class:`repro.translation.stream.StreamTranslator`) walks it,
+    emitting column entries and Avro row bytes directly.  A document
+    the machine declines goes through the DOM path alone.  Fallback
+    (JSON-text) columns capture the **raw source slice verbatim**,
+    where :func:`schema_aware_translate` re-serialises — identical on
+    serializer-canonical corpora.
 
     ``out`` (a directory) spills artifacts while translating: encoded
     rows stream straight into ``rows.avro`` (peak memory O(columns + one
     row), ``TranslationReport.avro_rows`` is then ``None``), and
     ``columns.json``/``schema.txt`` land at the end; the written map is
-    on ``TranslationRun.artifacts``.  Without ``out``, pair with
-    :func:`write_artifacts`.
+    on ``TranslationRun.artifacts``.  The files are written into a
+    hidden temporary directory inside ``out`` and moved up into ``out``
+    only once the run succeeds, so a failed run leaves ``out`` as it
+    found it (directories the run created are removed again).  Without
+    ``out``, pair with :func:`write_artifacts`.
     """
     import os
+    import shutil
+    import tempfile
 
-    from repro.inference.streaming import report_with_lines, report_with_spans
+    from repro.inference.streaming import report_with_spans
 
-    if engine not in ("stream", "interned"):
-        raise TranslationError(
-            f"unknown translate engine {engine!r}; expected 'stream' or 'interned'"
-        )
     if table is None:
         table = global_table()
-    is_file = (
-        isinstance(source, (str, os.PathLike))
-        and str(source) != "-"
-        and os.path.isfile(source)
-    )
+    staging = None
     rows_path = None
-    if out is not None:
-        os.makedirs(out, exist_ok=True)
-        rows_path = os.path.join(out, "rows.avro")
-    sink = _RowSink(rows_path)
+    created = _missing_dirs(out) if out is not None else []
+    succeeded = False
     try:
-        if engine == "stream" and is_file:
+        if out is not None:
+            os.makedirs(out, exist_ok=True)
+            staging = tempfile.mkdtemp(prefix=".translate-", dir=out)
+            rows_path = os.path.join(staging, "rows.avro")
+        sink = _RowSink(rows_path)
+        try:
             with report_with_spans(
                 source, equivalence, jobs=jobs, shared_memory=shared_memory
             ) as (report, sections):
@@ -625,73 +559,62 @@ def translate_report_path(
                 count, input_bytes = _stream_translate_sections(
                     sections, resolution, shredder, encoder, sink
                 )
-        else:
-            with report_with_lines(
-                source, equivalence, jobs=jobs, shared_memory=shared_memory
-            ) as (report, lines):
-                inferred = table.canonical(report.inferred)
-                resolution = resolve_interned(inferred, table=table)
-                shredder = Shredder(
-                    compiled_parquet(resolution.resolved, table=table)
+            if count != report.document_count:
+                raise TranslationError(
+                    f"translate pass saw {count} documents, "
+                    f"inference saw {report.document_count}"
                 )
-                encoder = avro.RowEncoder(
-                    compiled_avro(resolution.resolved, table=table)
-                )
-                count, input_bytes = _dom_translate_lines(
-                    lines, resolution, shredder, encoder, sink
-                )
-        if count != report.document_count:
-            raise TranslationError(
-                f"translate pass saw {count} documents, "
-                f"inference saw {report.document_count}"
-            )
+        finally:
+            sink.close()
+        translation = _build_report(
+            shredder.finish(),
+            sink.rows,
+            resolution.fallbacks,
+            count,
+            input_bytes,
+            row_bytes=sink.row_bytes if sink.rows is None else None,
+        )
+        run = TranslationRun(
+            translation=translation,
+            inferred=inferred,
+            resolved=resolution.resolved,
+            equivalence=equivalence,
+        )
+        if out is not None:
+            staged = {rows_path: sink.framed_bytes}
+            staged.update(_write_columns_and_schema(run, staging))
+            written = {}
+            for path, size in staged.items():
+                final = os.path.join(out, os.path.basename(path))
+                os.replace(path, final)
+                written[final] = size
+            run.artifacts = written
+        succeeded = True
+        return run
     finally:
-        sink.close()
-    translation = _build_report(
-        shredder.finish(),
-        sink.rows,
-        resolution.fallbacks,
-        count,
-        input_bytes,
-        row_bytes=sink.row_bytes if sink.rows is None else None,
-    )
-    run = TranslationRun(
-        translation=translation,
-        inferred=inferred,
-        resolved=resolution.resolved,
-        equivalence=equivalence,
-    )
-    if out is not None:
-        written = {rows_path: sink.framed_bytes}
-        written.update(_write_columns_and_schema(run, out))
-        run.artifacts = written
-    return run
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
+        if not succeeded:
+            for path in created:
+                try:
+                    os.rmdir(path)
+                except OSError:
+                    break
 
 
-def _dom_translate_lines(lines, resolution, shredder, encoder, sink):
-    """The DOM loop: decoded lines through speculative decode + textify.
+def _missing_dirs(path) -> list:
+    """The directories ``os.makedirs(path)`` would create, deepest first."""
+    import os
 
-    On the constant-structure streams this flow targets, the Fad.js-
-    style speculative decoder turns most lines into a single template
-    match (result-identical to the generic parser, which it falls back
-    to — with its exact errors — on any miss).
-    """
-    from repro.parsing.fadjs import SpeculativeDecoder
-
-    decoder = SpeculativeDecoder()
-    plan = resolution.plan
-    add = sink.add
-    count = 0
-    input_bytes = 0
-    for line in lines:
-        if not line or line.isspace():
-            continue
-        input_bytes += len(line.encode("utf-8"))
-        prepared = textify(decoder.decode(line), plan)
-        shredder.add(prepared)
-        add(encoder.encode_row(prepared))
-        count += 1
-    return count, input_bytes
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        parent = os.path.dirname(path)
+        if parent == path:
+            break
+        path = parent
+    return missing
 
 
 def _stream_translate_sections(sections, resolution, shredder, encoder, sink):

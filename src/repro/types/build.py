@@ -41,15 +41,11 @@ from repro.jsonvalue.events import JsonEvent, JsonEventType
 from repro.jsonvalue.lexer import (
     FULL_STRING_BODY_PATTERN_BYTES,
     INT_PATTERN,
-    INT_PATTERN_BYTES,
-    NUMBER_BOUNDARY_BYTES,
     NUMBER_BOUNDARY_CHARS,
-    NUMBER_TAIL_PATTERN_BYTES,
     STRING_BODY_PATTERN,
     STRING_BODY_PATTERN_BYTES,
     UTF8_VALIDATION_PATTERN,
     WHITESPACE_PATTERN,
-    WHITESPACE_PATTERN_BYTES,
     Token,
     TokenType,
     _Scanner,
@@ -410,99 +406,11 @@ _WS_RUN = re.compile(WHITESPACE_PATTERN)
 _NUMBER_BOUNDARY = frozenset(NUMBER_BOUNDARY_CHARS)
 _NUMBER_START = "-0123456789"
 
-# --------------------------------------------------------------------------
-# The bytes-native mirror of the structural scan.
-#
-# ``encode_bytes`` runs the same phase machine directly over a raw byte
-# buffer (mmap, shared-memory view, bytes) with *no* per-line
-# ``.decode("utf-8")``: every fragment — the string-body class included —
-# mirrors its str twin by plain ASCII encoding, so in bytes mode string
-# bodies admit any byte ``\x20``–``\xff`` except ``"`` and ``\`` and
-# UTF-8 multibyte content is skipped *structurally* (multibyte sequences
-# contain no bytes below ``\x80``, so byte-level and char-level string
-# extents agree on valid UTF-8).  The only str objects the happy path
-# creates are object *keys*, resolved through a bytes→str cache so each
-# distinct key bytes decodes once per encoder.
-#
-# UTF-8 validity is checked lazily, once per document: a successful scan
-# returns directly when a C-speed search finds no high byte (the common
-# all-ASCII case), and otherwise runs one strict-validation match over
-# the range — never a decode.  The group layout of every pattern matches
-# its str twin exactly, so the fused loops emit the same small-int
-# shape-signature codes and the two machines share one set of
-# record/array shape caches.
-#
-# Anything the byte patterns decline — malformed tokens, malformed
-# UTF-8, structural errors, EOF — *delegates*: the document's byte range
-# is decoded (raising the same ``UnicodeDecodeError`` the text pipeline's
-# up-front decode would, bytes and positions identical) and re-run
-# through ``encode_text``, which raises the parser-exact error with
-# *character* offsets.  Declines happen only on documents that cannot
-# parse, so valid input never pays the decode.
-# --------------------------------------------------------------------------
-
-_BYTES_WS = WHITESPACE_PATTERN_BYTES
-_BYTES_NUMBER_TAIL = NUMBER_TAIL_PATTERN_BYTES
-
-# Scalar alternatives with the same relative groups as _SCALAR_GROUPS:
-# +1 string, +2 number (containing +3 tail), +4 true/false, +5 null,
-# +6 empty array, +7 empty object.
-_BYTES_SCALAR_GROUPS = (
-    b'(")' + STRING_BODY_PATTERN_BYTES + b'"'
-    + b"|(" + INT_PATTERN_BYTES + b"(" + _BYTES_NUMBER_TAIL + b"))"
-    + b"|(true|false)|(null)"
-    + rb"|(\[" + _BYTES_WS + rb"\])"
-    + rb"|(\{" + _BYTES_WS + rb"\})"
-)
-# The per-token value scan carries the *full* string pattern (escapes
-# included): a match is a complete literal whose content never matters
-# to its type, so escaped strings stay on the bytes path.
-_BYTES_FULL_SCALAR_GROUPS = (
-    b'(")' + FULL_STRING_BODY_PATTERN_BYTES + b'"'
-    + b"|(" + INT_PATTERN_BYTES + b"(" + _BYTES_NUMBER_TAIL + b"))"
-    + b"|(true|false)|(null)"
-    + rb"|(\[" + _BYTES_WS + rb"\])"
-    + rb"|(\{" + _BYTES_WS + rb"\})"
-)
-_BYTES_VALUE_SCAN = re.compile(
-    _BYTES_WS + b"(?:"
-    + _BYTES_FULL_SCALAR_GROUPS
-    + rb"|(\{)|(\[)|(\])"
-    b")"
-)
-# Key scan: full string pattern, so escaped keys resolve without the
-# lexer (the decoded key comes from the bytes→str cache).
-_BYTES_KEY_SCAN = re.compile(
-    _BYTES_WS
-    + b'(?:"(' + FULL_STRING_BODY_PATTERN_BYTES + b')"' + _BYTES_WS + rb":|(\}))"
-)
-_BYTES_AFTER_SCAN = re.compile(_BYTES_WS + rb"([,\]}])")
-_BYTES_MEMBER_BODY = (
-    b'"(' + STRING_BODY_PATTERN_BYTES + b')"'
-    + _BYTES_WS + b":" + _BYTES_WS
-    + b"(?:(?:" + _BYTES_SCALAR_GROUPS + b")"
-    + _BYTES_WS + rb"[,}]|([{\[]))"
-)
-_BYTES_MEMBER_SCAN = re.compile(_BYTES_WS + _BYTES_MEMBER_BODY)
-_BYTES_ELEMENT_BODY = (
-    b"(?:(?:" + _BYTES_SCALAR_GROUPS + b")"
-    + _BYTES_WS + rb"[,\]]|([{\[]))"
-)
-_BYTES_ELEMENT_SCAN = re.compile(_BYTES_WS + _BYTES_ELEMENT_BODY)
-_BYTES_AFTER_MEMBER_SCAN = re.compile(
-    _BYTES_WS + b"," + _BYTES_WS + _BYTES_MEMBER_BODY
-)
-_BYTES_AFTER_ELEMENT_SCAN = re.compile(
-    _BYTES_WS + b"," + _BYTES_WS + _BYTES_ELEMENT_BODY
-)
-_BYTES_WS_RUN = re.compile(_BYTES_WS)
-_BYTES_NUMBER_BOUNDARY = frozenset(NUMBER_BOUNDARY_BYTES)
-# The lazy document-level UTF-8 check: one C-speed search for any high
-# byte, and — only when one exists — one strict-validation match.
+# The line cache's UTF-8 check on a cache hit: one C-speed search for
+# any high byte, and — only when one exists — one strict-validation
+# match over the line (never a decode).
 _BYTES_HIGH_BYTE = re.compile(rb"[\x80-\xff]")
 _BYTES_UTF8_RUN = re.compile(UTF8_VALIDATION_PATTERN)
-_COMMA_BYTE = 0x2C
-_LBRACE_BYTE = 0x7B
 
 # --------------------------------------------------------------------------
 # The batched line-shape cache (``encode_lines``).
@@ -636,18 +544,12 @@ class EventTypeEncoder(TypeEncoder):
     default last-wins policy.
     """
 
-    __slots__ = ("_stack", "_empty_rec", "_key_cache", "_line_cache", "_line_stats")
+    __slots__ = ("_stack", "_empty_rec", "_line_cache", "_line_stats")
 
     def _rebind(self) -> None:
         super()._rebind()
         table = self.table
         self._empty_rec = table.rec_of([])
-        # bytes key → decoded str key, shared by every document the
-        # encoder sees (keys repeat massively in real collections, so
-        # after warmup the bytes scan decodes nothing at all).  Epoch
-        # changes rebuild it only because _rebind is the one common
-        # initialization hook; the cached strs carry no table state.
-        self._key_cache: dict = {}
         # Line-shape cache of encode_lines: skeleton bytes → canonical
         # node of this epoch, plus [attempts, hits, enabled] adaptive
         # state.  Rebuilt per epoch — the cached nodes are table state.
@@ -1270,451 +1172,16 @@ class EventTypeEncoder(TypeEncoder):
             continue
 
     # ------------------------------------------------------------------
-    # bytes-native fused scan: mmap/shm byte ranges to canonical types
-    # ------------------------------------------------------------------
-
-    def _key_str(self, raw: bytes) -> Optional[str]:
-        """The decoded object key for raw key-body bytes (cached).
-
-        ``raw`` is the body a byte pattern matched: escapes (if any) are
-        guaranteed valid by the pattern, but the bytes may still be
-        malformed UTF-8 — that case returns ``None`` (uncached) and the
-        caller delegates, so the document's decode raises the exact
-        ``UnicodeDecodeError`` the text pipeline would.
-        """
-        cache = self._key_cache
-        name = cache.get(raw)
-        if name is None:
-            try:
-                if b"\\" in raw:
-                    name = _Scanner(
-                        '"' + raw.decode("utf-8") + '"'
-                    ).scan_string().value
-                else:
-                    name = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return None
-            cache[raw] = name
-        return name
-
-    def _delegate_bytes(self, data, start: int, end: int, max_depth: int) -> Type:
-        """Decode the document range and re-run the str machine.
-
-        The bytes scan delegates only when the range cannot scan as
-        valid JSON: the decode raises the exact ``UnicodeDecodeError``
-        the text pipeline's up-front line decode would (same bytes,
-        same positions), and on decodable input ``encode_text`` raises
-        the parser-exact error — class, message, and *character* offset
-        relative to the range start — or, in the rare shapes the byte
-        patterns under-approximate, returns the correct type.
-        """
-        text = bytes(data[start:end]).decode("utf-8")
-        return self.encode_text(text, max_depth=max_depth)
-
-    def encode_bytes(
-        self,
-        data,
-        start: int = 0,
-        end: Optional[int] = None,
-        *,
-        max_depth: int = 512,
-    ) -> Type:
-        """The canonical interned type of one JSON document held as
-        UTF-8 bytes — identical (by object identity, and by error class/
-        message/offset on malformed input) to
-        ``encode_text(bytes(data[start:end]).decode("utf-8"))``, without
-        the decode.
-
-        ``data`` is anything the buffer protocol covers: ``bytes``, an
-        ``mmap.mmap``, a ``memoryview`` over a shared-memory segment.
-        The scan mirrors :meth:`encode_text`'s compiled structural scan
-        with bytes master patterns (identical group layout, so both
-        machines share one set of shape caches): string *content* —
-        multibyte UTF-8 included — is skipped structurally and never
-        decoded, with UTF-8 validity checked lazily once per document
-        (a high-byte search, then a strict-validation match only when
-        one exists); object keys resolve through a bytes→str cache, so
-        each distinct key decodes once per encoder.  Anything the byte
-        patterns decline — which valid documents never hit — decodes
-        the range lazily and re-runs the str machine for the exact
-        error (character offsets relative to ``start``).
-        """
-        if end is None:
-            end = len(data)
-        table = self.table
-        if table.epoch() is not self._epoch:
-            self._rebind()
-        int_atom = self._int
-        flt_atom = self._flt
-        str_atom = self._str
-        bool_atom = self._bool
-        null_atom = self._null
-        value_scan = _BYTES_VALUE_SCAN.match
-        key_scan = _BYTES_KEY_SCAN.match
-        after_scan = _BYTES_AFTER_SCAN.match
-        member_scan = _BYTES_MEMBER_SCAN.match
-        element_scan = _BYTES_ELEMENT_SCAN.match
-        after_member_scan = _BYTES_AFTER_MEMBER_SCAN.match
-        after_element_scan = _BYTES_AFTER_ELEMENT_SCAN.match
-        ws_run = _BYTES_WS_RUN.match
-        key_str = self._key_str
-        close_record = self._close_record
-        close_array = self._close_array
-        empty_arr = self._empty_arr
-        empty_rec = self._empty_rec
-        doc_start = start
-        length = end
-        pos = start
-        stack: list[list] = []
-        phase = _PHASE_VALUE
-        result: Optional[Type] = None
-        # Set when the fused loop just declined at the current position
-        # (mirrors encode_text's outer dispatch).
-        declined = False
-
-        while True:
-            fused = None
-            if phase == _PHASE_AFTER:
-                m = after_scan(data, pos, length)
-                if m is None:
-                    ws_end = ws_run(data, pos, length).end()
-                    if ws_end >= length and not stack:
-                        assert result is not None
-                        # Lazy UTF-8 validity, once per document: pure
-                        # ASCII returns straight away; high bytes run
-                        # one strict-validation match (never a decode);
-                        # malformed UTF-8 delegates for the exact
-                        # UnicodeDecodeError.
-                        if _BYTES_HIGH_BYTE.search(data, doc_start, length) is None:
-                            return result
-                        run = _BYTES_UTF8_RUN.match(data, doc_start, length)
-                        if run.end() == length:
-                            return result
-                        return self._delegate_bytes(
-                            data, doc_start, length, max_depth
-                        )
-                    # EOF inside a container, or trailing garbage.
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                mend = m.end()
-                ch = data[mend - 1]
-                if not stack:
-                    # Trailing data after the document.
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                frame = stack[-1]
-                if ch == _COMMA_BYTE:
-                    pos = mend
-                    phase = _PHASE_KEY if frame[0] else _PHASE_VALUE
-                    continue
-                # "}" or "]": must close the innermost container's kind.
-                if (ch == 0x7D) != frame[0]:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                stack.pop()
-                if frame[0]:
-                    completed = close_record(frame[1], frame[2])
-                else:
-                    completed = close_array(frame[1], frame[2])
-                if not stack:
-                    result = completed
-                    continue
-                parent = stack[-1]
-                parent[1].append(id(completed))
-                parent[2].append(completed)
-                if parent[0]:
-                    fused = after_member_scan(data, pos, length)
-                else:
-                    fused = after_element_scan(data, pos, length)
-                if fused is None:
-                    continue
-
-            elif phase == _PHASE_KEY or phase == _PHASE_KEY_OR_CLOSE:
-                if declined:
-                    declined = False
-                else:
-                    fused = member_scan(data, pos, length)
-                if fused is None:
-                    m = key_scan(data, pos, length)
-                    if m is None:
-                        # Malformed key, missing colon, EOF, garbage.
-                        return self._delegate_bytes(
-                            data, doc_start, length, max_depth
-                        )
-                    mend = m.end()
-                    if m.lastindex == 2:  # "}"
-                        if phase == _PHASE_KEY:
-                            # A comma promised another member.
-                            return self._delegate_bytes(
-                                data, doc_start, length, max_depth
-                            )
-                        pos = mend
-                        stack.pop()
-                        completed = empty_rec
-                        if stack:
-                            parent = stack[-1]
-                            parent[1].append(id(completed))
-                            parent[2].append(completed)
-                        else:
-                            result = completed
-                        phase = _PHASE_AFTER
-                        continue
-                    # Key string (escapes included) and its colon.
-                    name = key_str(m.group(1))
-                    if name is None:  # malformed UTF-8 in the key
-                        return self._delegate_bytes(
-                            data, doc_start, length, max_depth
-                        )
-                    stack[-1][1].append(name)
-                    pos = mend
-                    phase = _PHASE_VALUE
-                    continue
-
-            elif stack and not stack[-1][0]:
-                if declined:
-                    declined = False
-                else:
-                    fused = element_scan(data, pos, length)
-
-            if fused is not None:
-                # The unified fused loop, one iteration per member or
-                # element — byte-identical control flow to encode_text.
-                m = fused
-                frame = stack[-1]
-                keyparts = frame[1]
-                ctypes = frame[2]
-                in_object = frame[0]
-                while True:
-                    if in_object:
-                        name = key_str(m.group(1))
-                        if name is None:  # malformed UTF-8 in the key
-                            return self._delegate_bytes(
-                                data, doc_start, length, max_depth
-                            )
-                        keyparts.append(name)
-                        kind = m.lastindex
-                        pos = m.end()
-                        if kind == 2:
-                            atom = str_atom
-                        elif kind == 3:
-                            tail_start, tail_end = m.span(4)
-                            if tail_start == tail_end:
-                                atom = int_atom
-                            else:
-                                kind = 0
-                                atom = flt_atom
-                        elif kind == 5:
-                            atom = bool_atom
-                        elif kind == 6:
-                            atom = null_atom
-                        elif kind == 7:  # empty array value
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            atom = empty_arr
-                        elif kind == 8:  # empty object value
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            atom = empty_rec
-                        else:  # kind == 9: the value opens a container
-                            in_object = data[pos - 1] == _LBRACE_BYTE
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            frame = [in_object, [], []]
-                            stack.append(frame)
-                            keyparts = frame[1]
-                            ctypes = frame[2]
-                            if in_object:
-                                m = member_scan(data, pos, length)
-                                if m is None:
-                                    declined = True
-                                    phase = _PHASE_KEY_OR_CLOSE
-                                    break
-                            else:
-                                m = element_scan(data, pos, length)
-                                if m is None:
-                                    declined = True
-                                    phase = _PHASE_VALUE_OR_CLOSE
-                                    break
-                            continue
-                        keyparts.append(kind)
-                        ctypes.append(atom)
-                        if data[pos - 1] == _COMMA_BYTE:
-                            m = member_scan(data, pos, length)
-                            if m is not None:
-                                continue
-                            declined = True
-                            phase = _PHASE_KEY
-                            break
-                        # "}" — the record is complete.
-                        stack.pop()
-                        completed = close_record(keyparts, ctypes)
-                    else:
-                        kind = m.lastindex
-                        pos = m.end()
-                        if kind == 1:
-                            atom = str_atom
-                        elif kind == 2:
-                            tail_start, tail_end = m.span(3)
-                            if tail_start == tail_end:
-                                atom = int_atom
-                            else:
-                                kind = 0
-                                atom = flt_atom
-                        elif kind == 4:
-                            atom = bool_atom
-                        elif kind == 5:
-                            atom = null_atom
-                        elif kind == 6:  # empty array element
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            atom = empty_arr
-                        elif kind == 7:  # empty object element
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            atom = empty_rec
-                        else:  # kind == 8: the element opens a container
-                            in_object = data[pos - 1] == _LBRACE_BYTE
-                            if len(stack) >= max_depth:
-                                return self._delegate_bytes(
-                                    data, doc_start, length, max_depth
-                                )
-                            frame = [in_object, [], []]
-                            stack.append(frame)
-                            keyparts = frame[1]
-                            ctypes = frame[2]
-                            if in_object:
-                                m = member_scan(data, pos, length)
-                                if m is None:
-                                    declined = True
-                                    phase = _PHASE_KEY_OR_CLOSE
-                                    break
-                            else:
-                                m = element_scan(data, pos, length)
-                                if m is None:
-                                    declined = True
-                                    phase = _PHASE_VALUE_OR_CLOSE
-                                    break
-                            continue
-                        keyparts.append(kind)
-                        ctypes.append(atom)
-                        if data[pos - 1] == _COMMA_BYTE:
-                            m = element_scan(data, pos, length)
-                            if m is not None:
-                                continue
-                            declined = True
-                            phase = _PHASE_VALUE
-                            break
-                        # "]" — the array is complete.
-                        stack.pop()
-                        completed = close_array(keyparts, ctypes)
-                    # Attach the closed container and continue with its
-                    # parent's next sibling, comma fused into the match.
-                    if not stack:
-                        result = completed
-                        phase = _PHASE_AFTER
-                        break
-                    frame = stack[-1]
-                    keyparts = frame[1]
-                    ctypes = frame[2]
-                    in_object = frame[0]
-                    keyparts.append(id(completed))
-                    ctypes.append(completed)
-                    if in_object:
-                        m = after_member_scan(data, pos, length)
-                    else:
-                        m = after_element_scan(data, pos, length)
-                    if m is None:
-                        phase = _PHASE_AFTER
-                        break
-                continue
-
-            # _PHASE_VALUE / _PHASE_VALUE_OR_CLOSE, per-token scan.
-            m = value_scan(data, pos, length)
-            if m is None:
-                # Malformed token, malformed UTF-8, EOF, or garbage —
-                # the decode + str machine resolves with the exact error.
-                return self._delegate_bytes(data, doc_start, length, max_depth)
-            idx = m.lastindex
-            mend = m.end()
-            if idx == 1:  # string (escapes included): content never matters
-                pos = mend
-                completed = str_atom
-            elif idx == 2:  # number
-                if mend < length and data[mend] in _BYTES_NUMBER_BOUNDARY:
-                    # The maximal match may extend into a malformed
-                    # literal ("01", "1.e5") — and even when the lexer
-                    # would re-scan a shorter valid token ("1.5.5"), the
-                    # leftover boundary char is a guaranteed structural
-                    # error: delegate for the exact outcome.
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                tail_start, tail_end = m.span(3)
-                completed = int_atom if tail_start == tail_end else flt_atom
-            elif idx == 4:  # true / false
-                pos = mend
-                completed = bool_atom
-            elif idx == 5:  # null
-                pos = mend
-                completed = null_atom
-            elif idx == 6:  # empty array
-                if len(stack) >= max_depth:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                completed = empty_arr
-            elif idx == 7:  # empty object
-                if len(stack) >= max_depth:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                completed = empty_rec
-            elif idx == 8:  # "{"
-                if len(stack) >= max_depth:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                stack.append([True, [], []])
-                phase = _PHASE_KEY_OR_CLOSE
-                continue
-            elif idx == 9:  # "["
-                if len(stack) >= max_depth:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                stack.append([False, [], []])
-                phase = _PHASE_VALUE_OR_CLOSE
-                continue
-            else:  # idx == 10: "]"
-                if phase != _PHASE_VALUE_OR_CLOSE:
-                    return self._delegate_bytes(data, doc_start, length, max_depth)
-                pos = mend
-                stack.pop()
-                completed = empty_arr
-            if stack:
-                frame = stack[-1]
-                frame[1].append(id(completed))
-                frame[2].append(completed)
-            else:
-                result = completed
-            phase = _PHASE_AFTER
-            continue
-
-    # ------------------------------------------------------------------
     # batched line-shape cache: many raw lines per C pass
     # ------------------------------------------------------------------
 
     def _encode_line_fallback(self, line: bytes, max_depth: int) -> Type:
         """Type one raw line outside the shape cache.
 
-        Decode-then-str-machine: a line's decode is nearly free next to
-        its scan, CPython's str regex engine outruns its bytes engine,
-        and the error behaviour is *definitionally* identical (the
-        decode raises the pipeline's exact ``UnicodeDecodeError``; the
-        str machine raises the parser's exact error).
+        Decode, then the str machine: a line's decode is nearly free
+        next to its scan, and the errors are the pipeline's own (the
+        decode raises the exact ``UnicodeDecodeError``; ``encode_text``
+        raises the parser's exact error).
         """
         return self.encode_text(line.decode("utf-8"), max_depth=max_depth)
 
@@ -1723,8 +1190,9 @@ class EventTypeEncoder(TypeEncoder):
 
         ``lines`` is a sequence of ``bytes``, one non-blank JSON
         document each; the result list is aligned with it.  Semantics
-        are exactly ``[encode_bytes(line) for line in lines]`` — same
-        types by identity, same errors — but the work is batched: a few
+        are exactly ``[encode_text(line.decode("utf-8")) for line in
+        lines]`` — same types by identity, same errors — but the work
+        is batched: a few
         whole-buffer C passes skeletonize every line at once (see the
         line-shape cache notes above), repeated shapes resolve with one
         dict probe per line, and only novel shapes run the scan machine.

@@ -1,18 +1,17 @@
-"""Fuzz differential for the bytes-native scan and the line-shape cache.
+"""Fuzz differential for the line-shape cache and the bytes fold.
 
-The contract, by construction of :meth:`EventTypeEncoder.encode_bytes`
-and :meth:`EventTypeEncoder.encode_lines`:
-
-- on any byte string ``b``, ``encode_bytes(b)`` behaves exactly like
-  ``encode_text(b.decode("utf-8"))`` — the *object-identical* canonical
-  node on valid input, the identical error (class, message, character
-  offset) on malformed JSON, and the identical ``UnicodeDecodeError``
-  (object, positions, reason) on undecodable bytes;
-- ``encode_lines`` (the batched skeleton cache) and
-  ``accumulate_ranges`` (the bytes fold) agree with the per-line str
-  feed on every line of every batch — including across batches sharing
-  one encoder, where an unsound skeleton collision would surface as a
-  wrong cached type.
+The contract of :meth:`EventTypeEncoder.encode_lines`: on any byte
+string ``b``, ``encode_lines([b])`` behaves exactly like
+``encode_text(b.decode("utf-8"))`` — with the line-shape cache on and
+off — the *object-identical* canonical node on valid input, the
+identical error (class, message, character offset) on malformed JSON,
+and the identical ``UnicodeDecodeError`` (object, positions, reason) on
+undecodable bytes.  ``accumulate_ranges`` (the bytes fold) agrees with
+the per-line str feed on every line of every batch — including across
+batches sharing one encoder, where an unsound skeleton collision would
+surface as a wrong cached type.  The counting bytes scan
+(``counted_type_of_bytes``) is held to decode + ``counted_type_of_text``
+the same way.
 
 Hypothesis drives serialized values, raw text, and raw *bytes* (mostly
 malformed UTF-8); the parametrized cases pin the named edge shapes —
@@ -52,18 +51,36 @@ def _failure(fn):
     return None
 
 
+def _encode_line(enc, raw: bytes, cached: bool):
+    """``encode_lines`` on one line, the line-shape cache on or off.
+
+    With the cache on, the line goes through twice in one batch: the
+    first copy misses (and stores), the second resolves from the cache.
+    """
+    stats = enc._line_stats
+    enabled = stats[2]
+    stats[2] = cached
+    try:
+        out = enc.encode_lines([raw, raw] if cached else [raw])
+    finally:
+        stats[2] = enabled
+    assert all(t is out[0] for t in out)
+    return out[0]
+
+
 def _differential(raw: bytes, encoder=None):
-    """encode_bytes(raw) must equal decode-then-encode_text in outcome."""
+    """encode_lines([raw]) must equal decode-then-encode_text in outcome."""
     enc = encoder if encoder is not None else EventTypeEncoder(InternTable())
 
     def str_path():
         return enc.encode_text(raw.decode("utf-8"))
 
     reference = _failure(str_path)
-    observed = _failure(lambda: enc.encode_bytes(raw))
-    assert observed == reference, (raw, observed, reference)
-    if reference is None:
-        assert enc.encode_bytes(raw) is str_path()
+    for cached in (True, False):
+        observed = _failure(lambda: _encode_line(enc, raw, cached))
+        assert observed == reference, (raw, cached, observed, reference)
+        if reference is None:
+            assert _encode_line(enc, raw, cached) is str_path()
 
 
 @given(json_values(max_leaves=30))
@@ -162,9 +179,8 @@ def test_edge_bytes_vs_str(raw):
 
 
 def test_edge_cases_share_one_encoder_and_its_caches():
-    """All edge shapes through a single encoder: the key cache, shape
-    caches and line cache must never leak a wrong answer across
-    documents."""
+    """All edge shapes through a single encoder: the shape caches and
+    the line cache must never leak a wrong answer across documents."""
     enc = EventTypeEncoder(InternTable())
     for text in _EDGE_TEXTS:
         _differential(text.encode("utf-8"), enc)
@@ -355,20 +371,6 @@ def test_malformed_utf8_line_raises_after_earlier_lines():
     assert bytes_out[0] == "lex"  # the *earlier* line's error wins
 
 
-def test_add_bytes_matches_add_text():
-    from repro.inference.engine import TypeAccumulator
-
-    table = InternTable()
-    via_bytes = TypeAccumulator(table=table)
-    via_text = TypeAccumulator(table=table)
-    lines = ['{"a": 1}', '{"a": 2.5, "b": "x"}', "[1, null]"]
-    for line in lines:
-        via_bytes.add_bytes(line.encode("utf-8"))
-        via_text.add_text(line)
-    assert via_bytes.result() is via_text.result()
-    assert via_bytes.document_count == len(lines)
-
-
 def test_line_cache_rebinds_on_table_epoch():
     """A table clear must not leak stale canonical nodes out of the
     line-shape cache."""
@@ -384,7 +386,15 @@ def test_line_cache_rebinds_on_table_epoch():
 def test_non_default_max_depth_bypasses_line_cache():
     enc = EventTypeEncoder(InternTable())
     deep = b"[" * 5 + b"1" + b"]" * 5
-    assert enc.encode_lines([deep])[0] is enc.encode_bytes(deep)
+    assert enc.encode_lines([deep])[0] is enc.encode_text(deep.decode())
+    for depth in (3, 4, 5, 6, 512):
+        reference = _failure(
+            lambda: enc.encode_text(deep.decode(), max_depth=depth)
+        )
+        observed = _failure(
+            lambda: enc.encode_lines([deep, deep], max_depth=depth)
+        )
+        assert observed == reference, depth
     with pytest.raises(JsonParseError):
         enc.encode_lines([deep], max_depth=3)
 

@@ -148,6 +148,95 @@ class TestTranslate:
         assert (out_dir / "columns.json").exists()
         assert (out_dir / "schema.txt").exists()
 
+    def test_failed_out_leaves_dir_untouched(self, tmp_path, capsys):
+        # A malformed line deep in the corpus fails the run after rows
+        # started streaming: nothing may land in DIR, not even an empty
+        # rows.avro, and no staging directory may be left behind.
+        lines = [f'{{"id": {i}, "name": "n{i}"}}' for i in range(3000)]
+        lines[2000] = '{"id": 2000, "name": '
+        path = tmp_path / "bad.ndjson"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "artifacts"
+        out_dir.mkdir()
+        (out_dir / "keep.txt").write_text("kept")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["translate", str(path), "--out", str(out_dir)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in out_dir.iterdir()] == ["keep.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_failed_out_removes_the_dirs_it_created(self, tmp_path, capsys):
+        path = tmp_path / "bad.ndjson"
+        path.write_text('{"id": 1}\n{"id": \n', encoding="utf-8")
+        out_dir = tmp_path / "new" / "artifacts"
+        assert main(["translate", str(path), "--out", str(out_dir)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_out_current_directory(self, data_file, tmp_path, monkeypatch, capsys):
+        # Staging happens inside DIR itself, so DIR's parent is never
+        # written to and the artifacts never cross a filesystem.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["translate", data_file, "--out", "."]) == 0
+        assert "wrote" in capsys.readouterr().out
+        assert sorted(p.name for p in work.iterdir()) == [
+            "columns.json",
+            "rows.avro",
+            "schema.txt",
+        ]
+
+    def test_out_under_read_only_parent(self, data_file, tmp_path, capsys):
+        import os
+
+        parent = tmp_path / "locked"
+        out_dir = parent / "artifacts"
+        out_dir.mkdir(parents=True)
+        parent.chmod(0o555)
+        try:
+            if os.access(parent, os.W_OK):
+                pytest.skip("permissions are not enforced for this user")
+            assert main(["translate", data_file, "--out", str(out_dir)]) == 0
+            assert sorted(p.name for p in out_dir.iterdir()) == [
+                "columns.json",
+                "rows.avro",
+                "schema.txt",
+            ]
+        finally:
+            parent.chmod(0o755)
+        capsys.readouterr()
+
+    def test_stdin_and_file_write_identical_artifacts(
+        self, data_file, tmp_path, monkeypatch, capsys
+    ):
+        import io
+
+        from repro.translation.stream import StreamTranslator
+
+        translators = []
+        original = StreamTranslator.__init__
+
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            translators.append(self)
+
+        monkeypatch.setattr(StreamTranslator, "__init__", spy)
+        with open(data_file, encoding="utf-8") as handle:
+            monkeypatch.setattr("sys.stdin", io.StringIO(handle.read()))
+        from_stdin = tmp_path / "A"
+        from_file = tmp_path / "B"
+        assert main(["translate", "-", "--out", str(from_stdin)]) == 0
+        assert main(["translate", data_file, "--out", str(from_file)]) == 0
+        capsys.readouterr()
+        for name in ("rows.avro", "columns.json", "schema.txt"):
+            assert (from_stdin / name).read_bytes() == (
+                from_file / name
+            ).read_bytes()
+        # Both sources ran the stream lane, and no document left it.
+        assert len(translators) == 2
+        assert [t.delegated for t in translators] == [0, 0]
+
 
 class TestMatrix:
     def test_matrix_printed(self, capsys):

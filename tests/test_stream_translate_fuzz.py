@@ -6,9 +6,10 @@ entries and Avro row bytes straight from each document's byte span — no
 DOM, no textify pass.  This tier turns hypothesis loose on the pin:
 
 - on serializer-canonical corpora (lines produced by the repo's
-  ``dumps``) the stream and interned engines produce identical Avro rows
-  and identical canonical column-store renderings, across equivalences
-  and through the gzip transport;
+  ``dumps``) the stream engine and the DOM reference
+  (:func:`schema_aware_translate` over the parsed lines) produce
+  identical Avro rows and identical canonical column-store renderings,
+  across equivalences and through the gzip transport;
 - unicode escapes (``\\uXXXX`` in strings *and* keys) decode to the same
   column values and the same row bytes as the DOM's decoded strings;
 - structural shapes the fused scan cannot speculate (duplicate keys,
@@ -18,7 +19,8 @@ DOM, no textify pass.  This tier turns hypothesis loose on the pin:
   verbatim** where the DOM engine re-serialises — identical on canonical
   corpora, source-preserving on non-canonical spellings (the one
   documented divergence);
-- malformed documents raise the same error through either engine;
+- malformed documents raise the same error (class and message, which
+  carries the offset) as the DOM parse of the same lines;
 - the counted-parallel byte-range fold (:func:`infer_counted_parallel`
   over an mmap corpus) reproduces the serial counting fold exactly.
 """
@@ -26,6 +28,7 @@ DOM, no textify pass.  This tier turns hypothesis loose on the pin:
 from __future__ import annotations
 
 import gzip
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,8 +37,13 @@ from hypothesis import strategies as st
 from repro.datasets.ndjson import open_corpus
 from repro.inference.distributed import infer_counted_parallel
 from repro.inference.engine import CountingAccumulator
+from repro.jsonvalue.parser import parse
 from repro.jsonvalue.serializer import dumps
-from repro.translation import column_store_json, translate_report_path
+from repro.translation import (
+    column_store_json,
+    schema_aware_translate,
+    translate_report_path,
+)
 from repro.types import Equivalence
 from tests.strategies import json_documents
 
@@ -53,16 +61,41 @@ def _write_corpus(tmp_path, lines, *, compress=False, name="corpus"):
     return str(path)
 
 
+def _dom_reference(path, equivalence=Equivalence.KIND):
+    """The seed DOM translation of a corpus file, plus its raw document
+    bytes: each line decoded and ``parse``d on its own, blank lines
+    skipped, then :func:`schema_aware_translate`."""
+    raw = Path(path).read_bytes()
+    if path.endswith(".gz"):
+        raw = gzip.decompress(raw)
+    docs = []
+    input_bytes = 0
+    for line in raw.splitlines():
+        text = line.decode("utf-8")
+        if text and not text.isspace():
+            docs.append(parse(text))
+            input_bytes += len(line)
+    return schema_aware_translate(docs, equivalence=equivalence), input_bytes
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - comparing error parity
+        return type(exc), str(exc)
+    return None
+
+
 def _assert_engines_identical(path, equivalence=Equivalence.KIND):
-    stream = translate_report_path(path, equivalence, engine="stream")
-    dom = translate_report_path(path, equivalence, engine="interned")
-    assert stream.translation.avro_rows == dom.translation.avro_rows
+    stream = translate_report_path(path, equivalence)
+    dom, input_bytes = _dom_reference(path, equivalence)
+    assert stream.translation.avro_rows == dom.avro_rows
     assert column_store_json(stream.translation.columnar) == column_store_json(
-        dom.translation.columnar
+        dom.columnar
     )
-    assert stream.translation.document_count == dom.translation.document_count
-    assert stream.translation.fallback_count == dom.translation.fallback_count
-    assert stream.translation.input_bytes == dom.translation.input_bytes
+    assert stream.translation.document_count == dom.document_count
+    assert stream.translation.fallback_count == dom.fallback_count
+    assert stream.translation.input_bytes == input_bytes
     return stream, dom
 
 
@@ -128,15 +161,15 @@ def test_fallback_columns_capture_raw_slice_verbatim(tmp_path):
     # the only one: rows/columns differ exactly by that column's text.
     lines = ['{"a": [1,  2]}\n', '{"a": "s"}\n', '{"a": true}\n']
     path = _write_corpus(tmp_path, lines)
-    stream = translate_report_path(path, engine="stream")
+    stream = translate_report_path(path)
     assert stream.translation.fallback_count == 1
     assert stream.translation.columnar.columns["a"].values == [
         "[1,  2]",  # verbatim, inner double space preserved
         '"s"',
         "true",
     ]
-    dom = translate_report_path(path, engine="interned")
-    assert dom.translation.columnar.columns["a"].values == [
+    dom, _ = _dom_reference(path)
+    assert dom.columnar.columns["a"].values == [
         "[1,2]",  # the DOM re-serialisation
         '"s"',
         "true",
@@ -161,39 +194,17 @@ def test_canonical_fallback_is_byte_identical(tmp_path):
 )
 def test_malformed_documents_raise_identically(tmp_path, bad):
     path = _write_corpus(tmp_path, [bad])
-    errors = {}
-    for engine in ("stream", "interned"):
-        try:
-            translate_report_path(path, engine=engine)
-        except Exception as exc:  # noqa: BLE001 - comparing error parity
-            errors[engine] = (type(exc), str(exc))
-        else:
-            errors[engine] = None
-    assert errors["stream"] == errors["interned"]
-    assert errors["stream"] is not None
+    stream = _outcome(lambda: translate_report_path(path))
+    assert stream == _outcome(lambda: _dom_reference(path))
+    assert stream is not None
 
 
 def test_invalid_utf8_raises_identically(tmp_path):
     path = tmp_path / "bad.ndjson"
     path.write_bytes(b'{"a":"\xff\xfe"}\n')
-    errors = {}
-    for engine in ("stream", "interned"):
-        try:
-            translate_report_path(str(path), engine=engine)
-        except Exception as exc:  # noqa: BLE001 - comparing error parity
-            errors[engine] = (type(exc), str(exc))
-        else:
-            errors[engine] = None
-    assert errors["stream"] == errors["interned"]
-    assert errors["stream"] is not None
-
-
-def test_unknown_engine_rejected(tmp_path):
-    from repro.errors import TranslationError
-
-    path = _write_corpus(tmp_path, ['{"a":1}\n'])
-    with pytest.raises(TranslationError, match="unknown translate engine"):
-        translate_report_path(path, engine="dom")
+    stream = _outcome(lambda: translate_report_path(str(path)))
+    assert stream == _outcome(lambda: _dom_reference(str(path)))
+    assert stream is not None
 
 
 def test_stream_spill_matches_in_memory_artifacts(tmp_path):
@@ -202,7 +213,7 @@ def test_stream_spill_matches_in_memory_artifacts(tmp_path):
     docs = [{"a": i, "b": [f"s{i}"] * (i % 3)} for i in range(25)]
     path = _write_corpus(tmp_path, [dumps(d) + "\n" for d in docs])
     out = tmp_path / "out"
-    run = translate_report_path(path, engine="stream", out=str(out))
+    run = translate_report_path(path, out=str(out))
     # Spilled run: rows live on disk only, sizes recorded exactly.
     assert run.translation.avro_rows is None
     assert run.translation.avro_bytes == run.translation.row_bytes > 0
@@ -210,7 +221,7 @@ def test_stream_spill_matches_in_memory_artifacts(tmp_path):
         import os
 
         assert os.path.getsize(artifact) == size
-    mem = translate_report_path(path, engine="interned")
+    mem = translate_report_path(path)
     out2 = tmp_path / "out2"
     write_artifacts(mem, out2)
     for name in ("rows.avro", "columns.json", "schema.txt"):

@@ -1,7 +1,7 @@
 """The intra-document splitter: carve, type, reassemble — identically.
 
 The subtree-parallel pipeline types one huge document as parallel
-top-level chunks and must be indistinguishable from the serial bytes
+top-level chunks and must be indistinguishable from the serial scan
 machine: the *interned-identical* type on every valid document (the
 speculative chunker may decline or fail validation, falling back to the
 serial fold — never to a wrong answer), and the exact serial error on
@@ -160,7 +160,7 @@ def test_exact_tier_reassembles_identically(doc, targets):
     data = doc.encode("utf-8")
     table = InternTable()
     encoder = EventTypeEncoder(table)
-    reference = encoder.encode_bytes(data)
+    reference = encoder.encode_text(data.decode("utf-8"))
     split = plan_subtree_split(data, targets=targets)
     assert split is not None, doc
     chunk_parts = type_subtree_chunks(encoder, data, split.kind, split.chunks)
@@ -212,7 +212,7 @@ def test_deeply_nested_single_subtree_descends_the_spine(doc):
     data = doc.encode("utf-8")
     table = InternTable()
     encoder = EventTypeEncoder(table)
-    reference = encoder.encode_bytes(data)
+    reference = encoder.encode_text(data.decode("utf-8"))
     got = _speculative_type(data, table, encoder)
     # The carver may decline (serial fallback) but must never be wrong.
     if got is not None:

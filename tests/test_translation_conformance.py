@@ -1,14 +1,13 @@
-"""Translation conformance tier: the interned pipeline is byte-identical
+"""Translation conformance tier: the stream pipeline is byte-identical
 to the DOM reference.
 
 Two independent implementations produce the translation artifacts — the
 materialised reference (:func:`schema_aware_translate`) and the
-interned-memoized streaming path (:func:`translate_interned`, plus the
-single-pass file flow :func:`translate_report_path`).  This tier pins
+single-pass stream flow (:func:`translate_report_path`).  This tier pins
 them to each other: identical Avro row bytes and identical canonical
 column-store renderings on the three benchmark corpora under both
-equivalences, and through every corpus transport (in-memory documents,
-plain NDJSON file, gzip file).
+equivalences, and through every corpus source (plain NDJSON file, gzip
+file, stdin, in-memory line iterable).
 
 It also carries the regression contracts of the resolver rework:
 explicit resolutions pickle, fallback relabeling is strict (the root
@@ -20,6 +19,7 @@ offending path instead of leaking ``KeyError``.
 from __future__ import annotations
 
 import gzip
+import io
 import pickle
 
 import pytest
@@ -32,11 +32,11 @@ from repro.translation import (
     resolve_interned,
     resolve_type,
     schema_aware_translate,
-    translate_interned,
     translate_report_path,
     write_artifacts,
 )
 from repro.types import Equivalence, merge_all, type_of
+from tests.translate_helpers import stream_translate, translate_lines
 
 CORPORA = {
     "twitter": lambda: tweets(120),
@@ -56,11 +56,10 @@ def _assert_identical(left, right):
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
 @pytest.mark.parametrize("equivalence", [Equivalence.KIND, Equivalence.LABEL])
-def test_interned_matches_dom_on_benchmark_corpora(corpus, equivalence):
+def test_line_source_matches_dom_on_benchmark_corpora(corpus, equivalence):
     docs = CORPORA[corpus]()
     dom = schema_aware_translate(docs, equivalence=equivalence)
-    interned = translate_interned(docs, equivalence=equivalence)
-    _assert_identical(dom, interned)
+    _assert_identical(dom, translate_lines(docs, equivalence))
 
 
 @pytest.mark.parametrize("corpus", sorted(CORPORA))
@@ -73,32 +72,40 @@ def test_stream_engine_matches_dom_on_benchmark_corpora(
     path.write_text(
         "".join(dumps(d) + "\n" for d in docs), encoding="utf-8"
     )
-    stream = translate_report_path(str(path), equivalence, engine="stream")
+    stream = translate_report_path(str(path), equivalence)
     dom = schema_aware_translate(docs, equivalence=equivalence)
     _assert_identical(dom, stream.translation)
 
 
-@pytest.mark.parametrize("engine", ["stream", "interned"])
-@pytest.mark.parametrize("compress", [False, True])
-def test_translate_report_path_matches_in_memory(tmp_path, compress, engine):
+@pytest.mark.parametrize("source", ["file", "gzip", "stdin", "lines"])
+def test_translate_report_path_matches_in_memory(
+    tmp_path, monkeypatch, source
+):
     docs = tweets(80)
     raw = "".join(dumps(d) + "\n" for d in docs)
     # A blank interior line: skipped by inference and translation alike.
     raw = raw.replace("\n", "\n\n", 1)
-    if compress:
+    if source == "gzip":
         path = tmp_path / "tweets.ndjson.gz"
         path.write_bytes(gzip.compress(raw.encode("utf-8")))
-    else:
+        source = str(path)
+    elif source == "file":
         path = tmp_path / "tweets.ndjson"
         path.write_text(raw, encoding="utf-8")
-    run = translate_report_path(str(path), engine=engine)
-    reference = translate_interned(docs)
+        source = str(path)
+    elif source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(raw))
+        source = "-"
+    else:
+        source = raw.splitlines()
+    run = translate_report_path(source)
+    reference = schema_aware_translate(docs)
     assert run.translation.avro_rows == reference.avro_rows
     assert column_store_json(run.translation.columnar) == column_store_json(
         reference.columnar
     )
     assert run.translation.document_count == len(docs)
-    # The file flow measures raw corpus bytes (blank line excluded).
+    # The stream flow measures raw corpus bytes (blank line excluded).
     assert run.translation.input_bytes == sum(
         len(dumps(d).encode("utf-8")) for d in docs
     )
@@ -172,7 +179,7 @@ def test_nullable_numeric_union_stays_typed():
     inferred = merge_all((type_of(d) for d in docs), Equivalence.KIND)
     resolved, fallbacks = resolve_type(inferred)
     assert fallbacks == []
-    report = translate_interned(docs)
+    report = translate_lines(docs)
     assert report.fallback_count == 0
     assert report.columnar.columns["v"].kind != "json"
     assert report.columnar.columns["v"].values == [1.5, 2]
@@ -184,7 +191,7 @@ def test_nullable_record_union_keeps_leaves_typed():
         {"geo": None},
         {"geo": {"lat": 3.0, "lon": 4.0}},
     ]
-    report = translate_interned(docs)
+    report = translate_lines(docs)
     assert report.fallback_count == 0
     assert sorted(report.columnar.columns) == ["geo.lat", "geo.lon"]
     assert report.columnar.columns["geo.lat"].values == [1.5, 3.0]
@@ -201,8 +208,7 @@ def test_empty_field_name_fallback_path_matches_its_column():
     _, fallbacks = resolve_type(inferred)
     assert fallbacks == ["0.[]."]
     dom = schema_aware_translate(docs)
-    interned = translate_interned(docs)
-    _assert_identical(dom, interned)
+    _assert_identical(dom, translate_lines(docs))
     assert dom.columnar.columns["0.[]."].kind == "json"
 
 
@@ -221,6 +227,33 @@ def test_unknown_field_raises_translation_error_with_path():
         (type_of(d) for d in [{"a": {"x": 1}}]), Equivalence.KIND
     )
     with pytest.raises(TranslationError, match=r"a\.y"):
-        translate_interned([{"a": {"x": 1, "y": 2}}], inferred)
+        stream_translate([{"a": {"x": 1, "y": 2}}], inferred)
     with pytest.raises(TranslationError, match=r"a\.y"):
         schema_aware_translate([{"a": {"x": 1, "y": 2}}], inferred)
+
+
+# ---------------------------------------------------------------------------
+# line-iterable sources on the stream lane
+# ---------------------------------------------------------------------------
+
+
+def test_line_item_with_raw_line_break_stays_one_document():
+    # An in-memory item may hold a raw line break inside its JSON: it
+    # stays one document (one span of the joined buffer), typed and
+    # translated exactly as the DOM reference reads it.
+    items = ['{"a":\n1, "b": "x"}', "", '{"a": 2,\r\n "b": "y"}']
+    run = translate_report_path(items)
+    reference = schema_aware_translate(
+        [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
+    )
+    _assert_identical(reference, run.translation)
+    assert run.translation.input_bytes == len(items[0]) + len(items[2])
+
+
+def test_line_item_with_raw_line_break_raises_like_the_parser():
+    # A document cut by an item boundary is malformed on its own: the
+    # stream lane reports the parser's error for that item.
+    from repro.jsonvalue.parser import JsonParseError
+
+    with pytest.raises(JsonParseError, match=r"line 1, column 6 \(offset 5\)"):
+        translate_report_path(['{"a":\n', "1}"])

@@ -3,17 +3,19 @@
 The conformance tier pins the benchmark corpora; this tier turns
 hypothesis loose on the same contracts:
 
-- the interned streaming pipeline is byte-identical to the DOM reference
-  on arbitrary generated document collections (rows and columns);
+- the stream pipeline over an in-memory line source is byte-identical to
+  the DOM reference on arbitrary generated document collections (rows
+  and columns);
 - the fused :class:`~repro.translation.avro.RowEncoder` produces exactly
   the bytes of the reference ``encode_rows``, and those bytes decode
   back to the encoded documents;
 - feeding documents to a schema inferred from a *subset* (so unseen
   fields appear) fails with :class:`TranslationError`, never a leaked
-  ``KeyError``;
+  ``KeyError`` — through the DOM reference and through the stream
+  machine;
 - translating documents against an arbitrary unrelated schema — the
   adversarial case — raises nothing outside the :class:`ReproError`
-  hierarchy.
+  hierarchy, through either.
 """
 
 from __future__ import annotations
@@ -27,23 +29,23 @@ from repro.translation import (
     column_store_json,
     resolve_type,
     schema_aware_translate,
-    translate_interned,
 )
 from repro.types import Equivalence, merge_all, type_of
 from tests.strategies import json_documents, json_objects
+from tests.translate_helpers import stream_translate, translate_lines
 
 
 @given(json_documents(), st.sampled_from([Equivalence.KIND, Equivalence.LABEL]))
 @settings(max_examples=60, deadline=None)
-def test_interned_pipeline_matches_dom_reference(docs, equivalence):
+def test_stream_pipeline_matches_dom_reference(docs, equivalence):
     dom = schema_aware_translate(docs, equivalence=equivalence)
-    interned = translate_interned(docs, equivalence=equivalence)
-    assert interned.avro_rows == dom.avro_rows
-    assert column_store_json(interned.columnar) == column_store_json(
+    stream = translate_lines(docs, equivalence)
+    assert stream.avro_rows == dom.avro_rows
+    assert column_store_json(stream.columnar) == column_store_json(
         dom.columnar
     )
-    assert interned.fallback_count == dom.fallback_count
-    assert interned.typed_leaf_columns == dom.typed_leaf_columns
+    assert stream.fallback_count == dom.fallback_count
+    assert stream.typed_leaf_columns == dom.typed_leaf_columns
 
 
 def _widened_equal(a, b):
@@ -93,7 +95,7 @@ def test_unseen_fields_raise_translation_error(docs):
     for d in subset:
         subset_fields.update(d)
     assume(any(set(d) - subset_fields for d in docs))
-    for pipeline in (schema_aware_translate, translate_interned):
+    for pipeline in (schema_aware_translate, stream_translate):
         try:
             pipeline(docs, inferred)
         except TranslationError:
@@ -107,7 +109,7 @@ def test_mismatched_schema_never_leaks_internal_errors(docs, other):
     # schema of an unrelated document.  Any failure must stay inside the
     # ReproError hierarchy — no KeyError, no AssertionError.
     inferred = type_of(other)
-    for pipeline in (schema_aware_translate, translate_interned):
+    for pipeline in (schema_aware_translate, stream_translate):
         try:
             pipeline(docs, inferred)
         except ReproError:
